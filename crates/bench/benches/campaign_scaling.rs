@@ -45,8 +45,7 @@ fn main() {
     let samples = if b.quick() { 3 } else { 10 };
     let n = spec.total_tests();
 
-    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    b.note_meta("available_parallelism", cores as f64);
+    let cores = b.note_host();
 
     let mut lines = Vec::new();
     let mut on_means = Vec::new();

@@ -313,6 +313,7 @@ fn bench_flight_recorder(b: &mut Bench) {
 
 fn main() {
     let mut b = Bench::new("kernel_microbench");
+    b.note_host();
     bench_hypercalls(&mut b);
     bench_single_test(&mut b);
     bench_mission(&mut b);

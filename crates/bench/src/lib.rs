@@ -78,6 +78,25 @@ impl Bench {
         self.meta.push((key.to_string(), format!("{value:.4}")));
     }
 
+    /// Records what the numbers were measured on: the core count
+    /// (`available_parallelism`) and a `host` label naming the CPU model,
+    /// so a committed baseline states the hardware it describes. Returns
+    /// the core count.
+    pub fn note_host(&mut self) -> usize {
+        let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+        self.note_meta("available_parallelism", cores as f64);
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|s| {
+                let line = s.lines().find(|l| l.starts_with("model name"))?;
+                Some(line.split_once(':')?.1.trim().to_string())
+            })
+            .unwrap_or_else(|| std::env::consts::ARCH.to_string());
+        let label = format!("{cpu}, {cores} vCPU").replace('\\', "\\\\").replace('"', "\\\"");
+        self.meta.push(("host".to_string(), format!("\"{label}\"")));
+        cores
+    }
+
     /// Whether smoke mode is active (`BENCH_QUICK` set).
     pub fn quick(&self) -> bool {
         self.quick
@@ -250,6 +269,15 @@ mod tests {
         assert_eq!((s.mean_ns, s.min_ns, s.max_ns), (20.0, 10.0, 30.0));
         assert_eq!((s.iters, s.samples), (1, 3));
         assert!(b.to_json().contains("\"label\":\"paired\""));
+    }
+
+    #[test]
+    fn host_meta_is_valid_json() {
+        let mut b = Bench { name: "t".into(), quick: true, results: Vec::new(), meta: Vec::new() };
+        assert!(b.note_host() >= 1);
+        let json = b.to_json();
+        assert!(json.contains("\"available_parallelism\":"), "{json}");
+        assert!(json.contains(",\"host\":\""), "{json}");
     }
 
     #[test]

@@ -12,11 +12,13 @@ use xtratum::guest::{GuestSet, PartitionApi};
 use xtratum::kernel::XmKernel;
 use xtratum::vuln::KernelBuild;
 
-/// A booted testbed captured once per `(Testbed, KernelBuild)` and cloned
-/// per test. Booting — config validation, memory-map construction, guest
-/// initialisation — is the dominant per-test cost in the fresh-boot
-/// executor; cloning the already-booted state is much cheaper and
-/// observationally identical because tests never share a clone.
+/// A booted testbed captured once per `(Testbed, KernelBuild)` and
+/// rewound to before every test. The capture point is the test
+/// partition's first slot (see [`Testbed::snapshot`]): booting plus the
+/// nominal partitions' first-frame slots are identical in every test, so
+/// they run once here instead of once per test. The kernel keeps the
+/// flight events of those slots and replays them when it resumes, so a
+/// test's recording is the same as on a fresh boot.
 pub struct BootSnapshot {
     kernel: XmKernel,
     guests: GuestSet,
@@ -32,13 +34,13 @@ impl BootSnapshot {
         Some(BootSnapshot { kernel, guests })
     }
 
-    /// A fresh, independent booted `(kernel, guests)` pair.
+    /// A fresh, independent copy of the snapshot `(kernel, guests)` pair.
     pub fn instantiate(&self) -> (XmKernel, GuestSet) {
         (self.kernel.clone(), self.guests.try_clone().expect("checked in capture"))
     }
 
     /// Materialises a worker's persistent [`Workspace`] — one deep copy
-    /// of the boot state that is *rewound* before every test instead of
+    /// of the snapshot state that is *rewound* before every test instead of
     /// re-cloned per test.
     pub fn workspace(&self) -> Workspace {
         let (kernel, guests) = self.instantiate();
@@ -48,21 +50,20 @@ impl BootSnapshot {
 
 /// A worker's persistent execution arena over a [`BootSnapshot`].
 ///
-/// The snapshot's memory is held flat (see
+/// The snapshot's memory is held in 4 KiB pages with dirty tracking (see
 /// [`leon3_sim::addrspace::AddressSpace`]), so [`Workspace::restore`] is
-/// one bounded copy: dirty pages stream back from the boot image,
+/// one bounded copy: dirty pages stream back from the snapshot image,
 /// kernel bookkeeping rewinds through capacity-preserving `clone_from`s,
-/// and guests reset by assignment. No refcount traffic, no allocation
-/// once the first test has warmed the buffers — this replaces the
-/// clone-per-test scheme whose copy-on-write page chasing dominated the
-/// campaign hot path.
+/// and guests reset by assignment. No allocation once the first test has
+/// warmed the buffers — this replaces the clone-per-test scheme whose
+/// copy-on-write page chasing dominated the campaign hot path.
 pub struct Workspace {
     kernel: XmKernel,
     guests: GuestSet,
 }
 
 impl Workspace {
-    /// Rewinds kernel and guests to `snapshot`'s boot state. `skip_guest`
+    /// Rewinds kernel and guests to `snapshot`'s state. `skip_guest`
     /// names a partition whose guest the caller will replace immediately
     /// (the executor's test partition, which receives a fresh mutant each
     /// test). `snapshot` must be the one this workspace was materialised
@@ -84,11 +85,18 @@ pub trait Testbed: Sync {
     /// Boots a fresh kernel + nominal guest set for one test execution.
     fn boot(&self, build: KernelBuild) -> (XmKernel, GuestSet);
 
-    /// Boots once and captures a reusable [`BootSnapshot`], or `None`
-    /// when this testbed's guests cannot be cloned (the executor then
-    /// falls back to one fresh [`Testbed::boot`] per test).
+    /// Boots once, runs the first major frame up to (not into) the test
+    /// partition's first slot, and captures a reusable [`BootSnapshot`]
+    /// there — or `None` when this testbed's guests cannot be cloned (the
+    /// executor then falls back to one fresh [`Testbed::boot`] per test).
+    /// The snapshot stays at boot when the test partition owns no slot in
+    /// the first frame, or when that prefix would halt the kernel or crash
+    /// the simulator (see [`XmKernel::run_to_first_slot_of`]).
     fn snapshot(&self, build: KernelBuild) -> Option<BootSnapshot> {
-        let (kernel, guests) = self.boot(build);
+        let (mut kernel, mut guests) = self.boot(build);
+        if !kernel.run_to_first_slot_of(&mut guests, self.test_partition()) {
+            (kernel, guests) = self.boot(build);
+        }
         BootSnapshot::capture(kernel, guests)
     }
 

@@ -129,23 +129,31 @@ impl Region {
 const PAGE_BITS: usize = 12;
 const PAGE: usize = 1 << PAGE_BITS;
 
-/// Flat backing store of one region with page-granular dirty tracking.
+/// Backing store of one region: 4 KiB pages with dirty tracking.
 ///
-/// The region's contents live in one contiguous, page-rounded buffer, so
-/// loads and stores are direct slice copies — no refcounting, no page
-/// chasing, no copy-on-write bookkeeping on the access path. Every store
-/// marks the 4 KiB pages it touches; [`RegionMem::restore_from`] copies
+/// Loads and stores are direct copies into the page they address — no
+/// refcounting, no copy-on-write bookkeeping on the access path. Every
+/// store marks the pages it touches; [`RegionMem::restore_from`] copies
 /// back only the marked pages, which is what makes per-test state reset
 /// in the campaign executor a bounded memcpy proportional to the bytes a
 /// test actually dirtied, not to the configured memory size.
+///
+/// A page is allocated at its first store; until then it reads as zeros.
+/// A campaign's boot snapshot has written only a handful of its pages (8
+/// of 97 on the EagleEye testbed), so boot zeroes nothing and a snapshot
+/// clone copies only those.
 #[derive(Debug)]
 struct RegionMem {
-    bytes: Box<[u8]>,
+    /// Page `i` of the region, `None` while it has never been written.
+    pages: Box<[Option<Box<[u8; PAGE]>>]>,
     /// Pages written since creation, the last clone, or the last restore.
     dirty: Vec<u32>,
     /// Per-page dirty bits mirroring `dirty` (constant-time dedup).
     dirty_map: Box<[bool]>,
 }
+
+/// What a never-written page reads as.
+static ZERO_PAGE: [u8; PAGE] = [0; PAGE];
 
 impl Clone for RegionMem {
     /// A clone starts with an empty dirty set: it is byte-identical to
@@ -154,7 +162,7 @@ impl Clone for RegionMem {
     /// unmodified) source only needs the pages written *after* the clone.
     fn clone(&self) -> Self {
         RegionMem {
-            bytes: self.bytes.clone(),
+            pages: self.pages.clone(),
             dirty: Vec::new(),
             dirty_map: vec![false; self.dirty_map.len()].into_boxed_slice(),
         }
@@ -165,46 +173,92 @@ impl RegionMem {
     fn zeroed(len: usize) -> Self {
         let n_pages = len.div_ceil(PAGE);
         RegionMem {
-            bytes: vec![0u8; n_pages * PAGE].into_boxed_slice(),
+            pages: (0..n_pages).map(|_| None).collect(),
             dirty: Vec::new(),
             dirty_map: vec![false; n_pages].into_boxed_slice(),
         }
     }
 
+    fn page(&self, p: usize) -> &[u8; PAGE] {
+        self.pages[p].as_deref().unwrap_or(&ZERO_PAGE)
+    }
+
     fn read(&self, off: usize, len: usize) -> Vec<u8> {
-        self.bytes[off..off + len].to_vec()
+        let mut out = Vec::with_capacity(len);
+        self.read_into(off, len, &mut out);
+        out
     }
 
     fn read_into(&self, off: usize, len: usize, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.bytes[off..off + len]);
+        let end = off + len;
+        let mut pos = off;
+        while pos < end {
+            let run = self.slice(pos, end - pos);
+            out.extend_from_slice(run);
+            pos += run.len();
+        }
     }
 
+    /// A fixed-size load, which may straddle pages.
+    fn read_array<const N: usize>(&self, off: usize) -> [u8; N] {
+        let o = off & (PAGE - 1);
+        if let Some(bytes) = self.page(off >> PAGE_BITS).get(o..o + N) {
+            return bytes.try_into().expect("the range is N bytes long");
+        }
+        let mut out = [0u8; N];
+        let mut pos = 0;
+        while pos < N {
+            let run = self.slice(off + pos, N - pos);
+            out[pos..pos + run.len()].copy_from_slice(run);
+            pos += run.len();
+        }
+        out
+    }
+
+    /// Borrows up to `len` bytes at `off`, stopping at the end of the page.
     fn slice(&self, off: usize, len: usize) -> &[u8] {
-        &self.bytes[off..off + len]
+        let o = off & (PAGE - 1);
+        &self.page(off >> PAGE_BITS)[o..o + len.min(PAGE - o)]
     }
 
     fn write(&mut self, off: usize, data: &[u8]) {
-        if data.is_empty() {
+        let (p, o) = (off >> PAGE_BITS, off & (PAGE - 1));
+        if !data.is_empty() && o + data.len() <= PAGE {
+            // The common case: the store stays within one page.
+            self.mark_dirty(p);
+            let page = self.pages[p].get_or_insert_with(|| Box::new([0; PAGE]));
+            page[o..o + data.len()].copy_from_slice(data);
             return;
         }
-        let (first, last) = (off >> PAGE_BITS, (off + data.len() - 1) >> PAGE_BITS);
-        for p in first..=last {
-            if !self.dirty_map[p] {
-                self.dirty_map[p] = true;
-                self.dirty.push(p as u32);
-            }
+        let mut pos = off;
+        let mut rest = data;
+        while !rest.is_empty() {
+            let p = pos >> PAGE_BITS;
+            let o = pos & (PAGE - 1);
+            let n = rest.len().min(PAGE - o);
+            self.mark_dirty(p);
+            let page = self.pages[p].get_or_insert_with(|| Box::new([0; PAGE]));
+            page[o..o + n].copy_from_slice(&rest[..n]);
+            pos += n;
+            rest = &rest[n..];
         }
-        self.bytes[off..off + data.len()].copy_from_slice(data);
+    }
+
+    fn mark_dirty(&mut self, p: usize) {
+        if !self.dirty_map[p] {
+            self.dirty_map[p] = true;
+            self.dirty.push(p as u32);
+        }
     }
 
     /// Copies back every dirty page from `src` and clears the dirty set.
     /// `src` must be the buffer this one was cloned from (or restored to
     /// last), unmodified since — clean pages are already identical.
     fn restore_from(&mut self, src: &RegionMem) {
-        debug_assert_eq!(self.bytes.len(), src.bytes.len());
+        debug_assert_eq!(self.pages.len(), src.pages.len());
         for &p in &self.dirty {
-            let lo = (p as usize) << PAGE_BITS;
-            self.bytes[lo..lo + PAGE].copy_from_slice(&src.bytes[lo..lo + PAGE]);
+            let page = self.pages[p as usize].as_mut().expect("a dirty page has been written");
+            page.copy_from_slice(src.page(p as usize));
             self.dirty_map[p as usize] = false;
         }
         self.dirty.clear();
@@ -276,9 +330,9 @@ impl AddressSpace {
 
     /// Restores every region to `src`'s contents by copying back only the
     /// pages written since this space was cloned from `src` (or last
-    /// restored to it). `src` is the flat boot image: it must be
+    /// restored to it). `src` is the boot image: it must be
     /// unmodified since the clone, which holds for boot snapshots — they
-    /// are captured once and never executed. Allocation-free and bounded
+    /// are never executed once captured. Allocation-free and bounded
     /// by the number of dirty pages, this is the campaign executor's
     /// per-test state reset.
     pub fn restore_from(&mut self, src: &AddressSpace) {
@@ -398,7 +452,7 @@ impl AddressSpace {
     pub fn read_u8(&self, ctx: AccessCtx, addr: Addr) -> Result<u8, MemFault> {
         let idx = self.locate(ctx, addr, 1, 1, AccessKind::Read)?;
         let off = self.offset(idx, addr);
-        Ok(self.backing[idx].slice(off, 1)[0])
+        Ok(self.backing[idx].read_array::<1>(off)[0])
     }
 
     /// Borrows the readable bytes starting at `addr` within its region, up
@@ -406,7 +460,8 @@ impl AddressSpace {
     /// string reads: permissions are uniform within a region, so one check
     /// covers the whole run, and a fault surfaces exactly where a one-byte
     /// read at `addr` would fault. Returns at least one byte when `max >=
-    /// 1` (regions are non-empty and never cross the 4 GiB boundary).
+    /// 1` (regions are non-empty and never cross the 4 GiB boundary); the
+    /// run ends at the next 4 KiB page boundary of the region at the latest.
     pub fn read_run(&self, ctx: AccessCtx, addr: Addr, max: u32) -> Result<&[u8], MemFault> {
         let idx = self.locate(ctx, addr, 1, 1, AccessKind::Read)?;
         let region = &self.regions[idx];
@@ -428,8 +483,7 @@ impl AddressSpace {
     pub fn read_u32(&self, ctx: AccessCtx, addr: Addr) -> Result<u32, MemFault> {
         let idx = self.locate(ctx, addr, 4, 4, AccessKind::Read)?;
         let off = self.offset(idx, addr);
-        let b = self.backing[idx].slice(off, 4);
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_be_bytes(self.backing[idx].read_array(off)))
     }
 
     /// Aligned 32-bit store.
@@ -465,9 +519,7 @@ impl AddressSpace {
     pub fn read_u64(&self, ctx: AccessCtx, addr: Addr) -> Result<u64, MemFault> {
         let idx = self.locate(ctx, addr, 8, 8, AccessKind::Read)?;
         let off = self.offset(idx, addr);
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(self.backing[idx].slice(off, 8));
-        Ok(u64::from_be_bytes(buf))
+        Ok(u64::from_be_bytes(self.backing[idx].read_array(off)))
     }
 
     /// Aligned 64-bit store.
@@ -552,6 +604,59 @@ mod tests {
                 perms: Perms::RW,
             })
             .is_err());
+    }
+
+    #[test]
+    fn pages_read_zero_until_their_first_store() {
+        let mut a = space();
+        let p0 = AccessCtx::Partition(0);
+        assert!(a.backing[1].pages.iter().all(Option::is_none));
+        assert_eq!(a.read_bytes(p0, 0x4010_0ff0, 0x20).unwrap(), vec![0; 0x20]);
+        let mut out = vec![9];
+        a.read_bytes_into(p0, 0x4010_0000, 3, &mut out).unwrap();
+        assert_eq!(out, [9, 0, 0, 0]);
+        assert_eq!(a.read_u64(p0, 0x4010_0008).unwrap(), 0);
+        // Runs stop at page boundaries.
+        assert_eq!(a.read_run(p0, 0x4010_0ff0, 0x8000).unwrap(), [0; 0x10]);
+
+        a.write_u32(p0, 0x4010_2000, 0xDEAD_BEEF).unwrap();
+        let written = |a: &AddressSpace, r: usize| {
+            a.backing[r]
+                .pages
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.is_some())
+                .map(|(i, _)| i)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(written(&a, 1), [2]);
+        assert_eq!(written(&a.clone(), 1), [2], "clones copy only written pages");
+        assert_eq!(a.read_u32(p0, 0x4010_2000).unwrap(), 0xDEAD_BEEF);
+        assert_eq!(a.read_bytes(p0, 0x4010_1ffe, 4).unwrap(), [0, 0, 0xDE, 0xAD]);
+        // A store straddling pages lands in both.
+        a.write_bytes(p0, 0x4010_3ffe, &[1, 2, 3, 4]).unwrap();
+        assert_eq!(written(&a, 1), [2, 3, 4]);
+        assert_eq!(a.read_bytes(p0, 0x4010_3ffd, 6).unwrap(), [0, 1, 2, 3, 4, 0]);
+        assert!(written(&a, 2).is_empty(), "other regions are untouched");
+    }
+
+    #[test]
+    fn restore_against_an_unwritten_source_page_zeroes_it() {
+        let proto = space();
+        let mut ws = proto.clone();
+        let p0 = AccessCtx::Partition(0);
+        ws.write_bytes(p0, 0x4010_0ffe, &[1, 2, 3, 4]).unwrap();
+        assert_eq!(ws.dirty_pages(), 2);
+        ws.restore_from(&proto);
+        assert_eq!(ws.dirty_pages(), 0);
+        assert_eq!(ws.read_bytes(p0, 0x4010_0000, 0x2000).unwrap(), vec![0; 0x2000]);
+        // Written source: dirty pages come back from it.
+        let mut proto = space();
+        proto.write_u32(p0, 0x4010_0000, 7).unwrap();
+        let mut ws = proto.clone();
+        ws.write_u32(p0, 0x4010_0000, 8).unwrap();
+        ws.restore_from(&proto);
+        assert_eq!(ws.read_u32(p0, 0x4010_0000).unwrap(), 7);
     }
 
     #[test]

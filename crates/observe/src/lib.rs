@@ -216,6 +216,37 @@ pub fn drain() -> DrainedFlight {
     })
 }
 
+/// Runs `f` with this thread's recorder switched to a private window of
+/// `capacity` events and returns what `f` recorded. Recording is on
+/// inside the window whether or not the caller's recorder is; the
+/// caller's ring and gate are put back untouched afterwards.
+pub fn capture<R>(capacity: usize, f: impl FnOnce() -> R) -> (R, DrainedFlight) {
+    let (was_active, saved) =
+        REC.with(|r| (r.active.replace(true), r.ring.replace(Some(Ring::new(capacity)))));
+    let out = f();
+    let window = REC.with(|r| {
+        r.active.set(was_active);
+        r.ring.replace(saved)
+    });
+    (out, window.map(|mut ring| ring.drain()).unwrap_or_default())
+}
+
+/// Re-records `events` (a window taken with [`capture`]) into this
+/// thread's ring through the normal push path, so the monotone clamp and
+/// overwrite-oldest wrap treat them exactly as if they were recorded
+/// now. No-op when the recorder is disabled.
+pub fn replay(events: &[Event]) {
+    REC.with(|r| {
+        if r.active.get() {
+            if let Some(ring) = r.ring.borrow_mut().as_mut() {
+                for e in events {
+                    ring.push(*e);
+                }
+            }
+        }
+    });
+}
+
 /// Bit set in `HypercallExit.a` when the call did not return.
 pub const NO_RETURN_FLAG: u64 = 1 << 32;
 
@@ -297,6 +328,57 @@ mod tests {
         assert_eq!(f.events[1].t_us, 50);
         ring.push(ev(5)); // new window: low timestamps fine again
         assert_eq!(ring.drain().events[0].t_us, 5);
+    }
+
+    #[test]
+    fn capture_leaves_the_callers_window_untouched() {
+        // Recorder off: the window still records, the gate stays off.
+        disable();
+        let ((), w) = capture(8, || record(3, EventKind::Ops, 1, 0, 0, 0));
+        assert_eq!(w.events.len(), 1);
+        assert!(!active());
+
+        // Recorder on: the caller's pending events survive the window.
+        enable(8);
+        record(7, EventKind::TestBegin, NO_PARTITION, 0, 0, 0);
+        let ((), w) = capture(8, || {
+            record(2, EventKind::SlotBegin, 1, 0, 0, 0);
+            record_timeless(EventKind::PortCreated, 1, 0, 0, 0);
+        });
+        assert_eq!(w.events.iter().map(|e| e.t_us).collect::<Vec<_>>(), vec![2, 2]);
+        assert!(active());
+        let f = drain();
+        assert_eq!(f.events.len(), 1);
+        assert_eq!(f.events[0].kind, EventKind::TestBegin);
+        disable();
+    }
+
+    #[test]
+    fn replay_matches_recording_in_place() {
+        let prefix = |ring_t: u64| {
+            record(ring_t, EventKind::TestBegin, NO_PARTITION, 0, 0, 0);
+            record(4, EventKind::SlotBegin, 1, 0, 0, 0);
+            record_timeless(EventKind::PortCreated, 1, 0, 0, 0);
+            record(9, EventKind::SlotEnd, 1, 0, 0, 0);
+        };
+        let ((), window) = capture(8, || {
+            record(4, EventKind::SlotBegin, 1, 0, 0, 0);
+            record_timeless(EventKind::PortCreated, 1, 0, 0, 0);
+            record(9, EventKind::SlotEnd, 1, 0, 0, 0);
+        });
+        // Same stream whether recorded live or replayed, including the
+        // clamp against a window whose clock is already past the prefix.
+        for ring_t in [0, 6, 20] {
+            enable(3);
+            prefix(ring_t);
+            let live = drain();
+            record(ring_t, EventKind::TestBegin, NO_PARTITION, 0, 0, 0);
+            replay(&window.events);
+            assert_eq!(drain(), live, "ring clock at {ring_t}");
+            disable();
+        }
+        replay(&window.events); // disabled: no-op
+        assert_eq!(drain(), DrainedFlight::default());
     }
 
     #[test]

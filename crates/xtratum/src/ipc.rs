@@ -57,14 +57,48 @@ pub struct PortTable {
     /// `p`'s port `desc` — descriptors are small per-partition integers,
     /// as in XM.
     ports: Vec<Vec<Port>>,
-    /// Retired queue-message buffers, reused by `send_queuing_from` so
-    /// steady-state queuing traffic allocates nothing.
-    recycled: Vec<Vec<u8>>,
+    /// Retired message buffers, reused by later messages so steady-state
+    /// traffic — and the per-test restore — allocates nothing.
+    recycled: Recycler,
 }
 
-/// Retired-buffer pool bound: enough for every in-flight EagleEye queue
-/// slot without hoarding memory after a flood.
-const RECYCLE_LIMIT: usize = 8;
+/// Pool of retired message buffers.
+#[derive(Debug, Clone, Default)]
+struct Recycler {
+    bufs: Vec<Vec<u8>>,
+    /// Pool bound: every message the channels can hold at once, so a
+    /// reset or flush that empties them all frees nothing, while a
+    /// flood cannot hoard more than the configuration allows in flight.
+    limit: usize,
+}
+
+impl Recycler {
+    /// Retires a message buffer into the bounded pool.
+    fn retire(&mut self, mut buf: Vec<u8>) {
+        if self.bufs.len() < self.limit {
+            buf.clear();
+            self.bufs.push(buf);
+        }
+    }
+
+    /// A copy of `msg` backed by a retired buffer when one is available —
+    /// preferably one already large enough, so buffers retired by
+    /// channels with small messages do not regrow for large ones.
+    fn copy(&mut self, msg: &[u8]) -> Vec<u8> {
+        let mut buf = match self.bufs.iter().rposition(|b| b.capacity() >= msg.len()) {
+            Some(i) => self.bufs.swap_remove(i),
+            None => self.bufs.pop().unwrap_or_default(),
+        };
+        copy_into(&mut buf, msg);
+        buf
+    }
+}
+
+/// Overwrites `buf` with `msg`, keeping its allocation.
+fn copy_into(buf: &mut Vec<u8>, msg: &[u8]) {
+    buf.clear();
+    buf.extend_from_slice(msg);
+}
 
 /// Errors surfaced to the hypercall layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,51 +139,60 @@ impl PortTable {
                 })
                 .collect(),
             ports: Vec::new(),
-            recycled: Vec::new(),
+            recycled: Recycler {
+                bufs: Vec::new(),
+                limit: channels
+                    .iter()
+                    .map(|c| match c.kind {
+                        PortKind::Sampling => 1,
+                        PortKind::Queuing => c.max_msgs as usize,
+                    })
+                    .sum(),
+            },
         }
     }
 
     /// Restores to `src`'s state in place (part of the campaign
-    /// executor's per-test state reset). Message buffers queued since the
-    /// snapshot are retired into the recycle pool instead of freed, so
-    /// steady-state restore traffic — like steady-state queuing traffic —
-    /// allocates nothing.
+    /// executor's per-test state reset). Snapshot traffic — samples and
+    /// queued messages — is copied into the buffers already present or
+    /// into retired ones from the recycle pool, and buffers left over are
+    /// retired instead of freed, so steady-state restore traffic — like
+    /// steady-state queuing traffic — allocates nothing.
     pub fn restore_from(&mut self, src: &PortTable) {
         debug_assert_eq!(self.channels.len(), src.channels.len(), "channel layout mismatch");
-        for i in 0..self.channels.len() {
-            let (sample, queue_len) = {
-                let ch = &mut self.channels[i];
-                (ch.sample.take(), ch.queue.len())
-            };
-            if let Some(buf) = sample {
-                self.retire(buf);
-            }
-            for _ in 0..queue_len {
-                let buf = self.channels[i].queue.pop_front().unwrap();
-                self.retire(buf);
-            }
-            let s = &src.channels[i];
-            let ch = &mut self.channels[i];
+        let PortTable { channels, ports, recycled } = self;
+        for (ch, s) in channels.iter_mut().zip(&src.channels) {
             ch.cfg.clone_from(&s.cfg);
             ch.sample_seq = s.sample_seq;
-            debug_assert!(s.sample.is_none() && s.queue.is_empty(), "snapshot has traffic");
-            if let Some(sb) = &s.sample {
-                ch.sample = Some(sb.clone());
+            ch.sample = match (ch.sample.take(), &s.sample) {
+                (Some(mut buf), Some(msg)) => {
+                    copy_into(&mut buf, msg);
+                    Some(buf)
+                }
+                (None, Some(msg)) => Some(recycled.copy(msg)),
+                (Some(buf), None) => {
+                    recycled.retire(buf);
+                    None
+                }
+                (None, None) => None,
+            };
+            if ch.queue.len() > s.queue.len() {
+                for buf in ch.queue.drain(s.queue.len()..) {
+                    recycled.retire(buf);
+                }
             }
-            ch.queue.extend(s.queue.iter().cloned());
+            for (buf, msg) in ch.queue.iter_mut().zip(&s.queue) {
+                copy_into(buf, msg);
+            }
+            for msg in s.queue.iter().skip(ch.queue.len()) {
+                ch.queue.push_back(recycled.copy(msg));
+            }
         }
-        // Port descriptor spaces: Vec<Vec<Port>> clone_from is element-
-        // wise and keeps every inner capacity, so the per-test prologue's
-        // port creation reuses the previous test's slots.
-        self.ports.clone_from(&src.ports);
-    }
-
-    /// Retires a message buffer into the bounded recycle pool.
-    fn retire(&mut self, mut buf: Vec<u8>) {
-        if self.recycled.len() < RECYCLE_LIMIT {
-            buf.clear();
-            self.recycled.push(buf);
-        }
+        // Port descriptor spaces: `clone_from` reuses the inner `Vec`s
+        // `src` also has (element-wise, capacity kept) but drops any beyond
+        // `src.ports.len()`, so a partition whose ports the snapshot lacks
+        // regrows its descriptor space on every run.
+        ports.clone_from(&src.ports);
     }
 
     /// Number of channels.
@@ -271,11 +314,8 @@ impl PortTable {
             return Err(IpcError::BadSize);
         }
         match &mut ch.sample {
-            Some(buf) => {
-                buf.clear();
-                buf.extend_from_slice(msg);
-            }
-            None => ch.sample = Some(msg.to_vec()),
+            Some(buf) => copy_into(buf, msg),
+            None => ch.sample = Some(self.recycled.copy(msg)),
         }
         ch.sample_seq += 1;
         Ok(())
@@ -310,11 +350,8 @@ impl PortTable {
     pub(crate) fn commit_staged_sample(&mut self, channel: usize, msg: &[u8], writes: u64) {
         let ch = &mut self.channels[channel];
         match &mut ch.sample {
-            Some(buf) => {
-                buf.clear();
-                buf.extend_from_slice(msg);
-            }
-            None => ch.sample = Some(msg.to_vec()),
+            Some(buf) => copy_into(buf, msg),
+            None => ch.sample = Some(self.recycled.copy(msg)),
         }
         ch.sample_seq += writes;
     }
@@ -407,9 +444,7 @@ impl PortTable {
                 return Err(IpcError::QueueFull);
             }
         }
-        let mut buf = self.recycled.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(msg);
+        let buf = self.recycled.copy(msg);
         self.channels[p.channel].queue.push_back(buf);
         Ok(())
     }
@@ -446,11 +481,7 @@ impl PortTable {
         let msg = self.receive_queuing(partition, desc, buf_size)?;
         out.extend_from_slice(&msg);
         let n = msg.len();
-        if self.recycled.len() < RECYCLE_LIMIT {
-            let mut retired = msg;
-            retired.clear();
-            self.recycled.push(retired);
-        }
+        self.recycled.retire(msg);
         Ok(n)
     }
 
@@ -466,19 +497,11 @@ impl PortTable {
         Ok((ch.cfg.kind, level, ch.cfg.max_msg_size))
     }
 
-    /// Flushes one port's channel (drops queued/sampled data). Returns the
-    /// number of discarded messages.
+    /// Flushes one port's channel (drops queued/sampled data, retiring the
+    /// buffers). Returns the number of discarded messages.
     pub fn flush_port(&mut self, partition: u32, desc: i32) -> Result<u32, IpcError> {
         let p = self.port_for(partition, desc, None)?;
-        let ch = &mut self.channels[p.channel];
-        Ok(match ch.cfg.kind {
-            PortKind::Sampling => u32::from(ch.sample.take().is_some()),
-            PortKind::Queuing => {
-                let n = ch.queue.len() as u32;
-                ch.queue.clear();
-                n
-            }
-        })
+        Ok(clear_channel(&mut self.channels[p.channel], &mut self.recycled))
     }
 
     /// Flushes every port owned by `partition`. Returns discarded count.
@@ -488,13 +511,38 @@ impl PortTable {
     }
 
     /// Drops all runtime state (system reset); configuration survives.
+    /// Message buffers are retired and the per-partition descriptor
+    /// spaces emptied in place, so a reset does not cost the next restore
+    /// any allocation.
     pub fn reset(&mut self) {
         for ch in &mut self.channels {
-            ch.sample = None;
+            clear_channel(ch, &mut self.recycled);
             ch.sample_seq = 0;
-            ch.queue.clear();
         }
-        self.ports.clear();
+        for own in &mut self.ports {
+            own.clear();
+        }
+    }
+}
+
+/// Empties a channel's sample or queue into the recycle pool. Returns how
+/// many messages it held.
+fn clear_channel(ch: &mut ChannelState, recycled: &mut Recycler) -> u32 {
+    match ch.cfg.kind {
+        PortKind::Sampling => match ch.sample.take() {
+            Some(buf) => {
+                recycled.retire(buf);
+                1
+            }
+            None => 0,
+        },
+        PortKind::Queuing => {
+            let n = ch.queue.len() as u32;
+            for buf in ch.queue.drain(..) {
+                recycled.retire(buf);
+            }
+            n
+        }
     }
 }
 
@@ -677,6 +725,64 @@ mod tests {
         // partition 2's queue is untouched
         let (_, level, _) = t.port_status(2, qs).unwrap();
         assert_eq!(level, 1);
+    }
+
+    /// Channel contents (samples, sequence numbers, queues), rendered.
+    fn traffic(t: &PortTable) -> String {
+        let chans: Vec<_> =
+            t.channels.iter().map(|c| (&c.sample, c.sample_seq, &c.queue)).collect();
+        format!("{chans:?}")
+    }
+
+    #[test]
+    fn restore_copies_snapshot_traffic_into_retired_buffers() {
+        let mut snap = table();
+        let gs = snap.create_port(1, "gyro", PortKind::Sampling, 16, None, PortDirection::Source);
+        let qs = snap.create_port(2, "tm", PortKind::Queuing, 32, Some(2), PortDirection::Source);
+        let (gs, qs) = (gs.unwrap(), qs.unwrap());
+        snap.write_sampling(1, gs, vec![7; 16]).unwrap();
+        snap.send_queuing(2, qs, vec![1, 2, 3]).unwrap();
+
+        // Diverge, then wipe everything with a reset: every buffer retires.
+        let mut t = snap.clone();
+        t.send_queuing_from(2, qs, &[4; 32]).unwrap();
+        t.write_sampling_from(1, gs, &[9]).unwrap();
+        t.reset();
+        assert_eq!(t.total_ports(), 0);
+        let pool: Vec<*const u8> = t.recycled.bufs.iter().map(|b| b.as_ptr()).collect();
+        assert_eq!(pool.len(), 3);
+
+        t.restore_from(&snap);
+        assert_eq!(traffic(&t), traffic(&snap));
+        assert_eq!(t.ports_of(1), snap.ports_of(1));
+        assert_eq!(t.ports_of(2), snap.ports_of(2));
+        // The sample and the queued message landed in retired buffers.
+        let sample = t.channels[0].sample.as_ref().unwrap().as_ptr();
+        let queued = t.channels[1].queue[0].as_ptr();
+        assert!(pool.contains(&sample) && pool.contains(&queued));
+
+        // Surplus traffic retires on restore; missing traffic is refilled.
+        t.send_queuing_from(2, qs, &[5; 8]).unwrap();
+        t.flush_port(1, gs).unwrap();
+        t.restore_from(&snap);
+        assert_eq!(traffic(&t), traffic(&snap));
+        assert_eq!(t.recycled.bufs.len(), 1);
+    }
+
+    #[test]
+    fn recycle_pool_is_bounded_by_channel_capacity() {
+        let mut t = table();
+        // One gyro sample plus two tm queue slots.
+        assert_eq!(t.recycled.limit, 3);
+        for _ in 0..10 {
+            t.recycled.retire(vec![0; 4]);
+        }
+        assert_eq!(t.recycled.bufs.len(), 3);
+        // A large enough retired buffer is preferred over a small one.
+        t.recycled.bufs[0].reserve(64);
+        let big = t.recycled.bufs[0].as_ptr();
+        let copy = t.recycled.copy(&[1; 40]);
+        assert_eq!(copy.as_ptr(), big);
     }
 
     #[test]

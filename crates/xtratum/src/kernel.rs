@@ -236,7 +236,25 @@ pub struct XmKernel {
     pub(crate) port_stage: Vec<SampleStage>,
     /// Channel indices with a pending staged write (drained on commit).
     pub(crate) stage_dirty: Vec<u32>,
+    /// Slot cursor: when the current major frame started…
+    frame_start: TimeUs,
+    /// …and the index of its next slot to run (0 at a frame boundary).
+    /// Only [`XmKernel::run_to_first_slot_of`] leaves a frame half-run;
+    /// [`XmKernel::step_major_frames`] resumes it from here.
+    next_slot: usize,
+    /// Flight events of the slots run by [`XmKernel::run_to_first_slot_of`],
+    /// replayed into the recorder when the frame resumes, so a recording
+    /// of the resumed run equals one of the whole frame. Shared with every
+    /// clone and restore of the snapshot kernel.
+    prefix_flight: Option<Arc<[flightrec::Event]>>,
 }
+
+/// Capture window for [`XmKernel::run_to_first_slot_of`], in events.
+/// EagleEye's prefix records 50; a prefix that overflows the window is not
+/// deferred. Kept small on purpose: the window is allocated and freed per
+/// snapshot, and a 1024-event (40 KiB) window made the allocator hand the
+/// snapshot's copy fresh pages, costing ~170 µs of set-up per snapshot.
+const PREFIX_FLIGHT_CAPACITY: usize = 256;
 
 impl XmKernel {
     /// Boots the kernel: validates the configuration, builds the machine's
@@ -323,6 +341,9 @@ impl XmKernel {
             adv_processed: 0,
             port_stage: cfg.channels.iter().map(|_| SampleStage::default()).collect(),
             stage_dirty: Vec::new(),
+            frame_start: 0,
+            next_slot: 0,
+            prefix_flight: None,
             flags,
             build,
             cfg: Arc::new(cfg),
@@ -731,101 +752,153 @@ impl XmKernel {
     /// Runs `frames` major frames without building a summary. Callers that
     /// are done with the kernel afterwards pair this with
     /// [`XmKernel::into_summary`] to avoid copying the observation logs.
+    /// A frame left half-run by [`XmKernel::run_to_first_slot_of`] is
+    /// resumed at its next slot and counts as the first of the `frames`.
     pub fn step_major_frames(&mut self, guests: &mut GuestSet, frames: u32) {
+        if frames > 0 {
+            if let Some(events) = self.prefix_flight.take() {
+                flightrec::replay(&events);
+            }
+        }
         for _ in 0..frames {
             if !self.alive() {
                 break;
             }
-            let (plan_table, plan_idx) = self.sched.current_plan_shared();
-            let plan = &plan_table[plan_idx];
-            let frame_start = self.machine.now();
-            for (slot_idx, slot) in plan.slots.iter().enumerate() {
-                if !self.alive() {
-                    break;
-                }
-                let slot_start = frame_start + slot.start_us;
-                let pid = slot.partition;
-                let idx = pid as usize;
-                // Idle-slot fast path: an unschedulable partition's slot
-                // with no observable event in its window collapses both
-                // advances into one horizon-checked clock jump. A
-                // quiescent advance cannot change schedulability (or
-                // anything else), so pre-checking the status is equivalent
-                // to the slow path's advance-then-check ordering; neither
-                // path emits SlotBegin/SlotEnd for unschedulable slots.
-                if !self.parts[idx].status.schedulable()
-                    && self.try_quiescent_advance(slot_start + slot.duration_us)
-                {
-                    self.hm_reset_flags[idx] = false;
-                    continue;
-                }
-                self.advance_and_process(slot_start.max(self.machine.now()));
-                if !self.alive() {
-                    break;
-                }
-                self.hm_reset_flags[idx] = false;
-                if !self.parts[idx].status.schedulable() {
-                    self.advance_and_process(
-                        (slot_start + slot.duration_us).max(self.machine.now()),
-                    );
-                    continue;
-                }
-                flightrec::record(
-                    self.machine.now(),
-                    flightrec::EventKind::SlotBegin,
-                    pid as u16,
-                    slot_idx as u32,
-                    slot.duration_us,
-                    0,
-                );
-                self.parts[idx].status = PartitionStatus::Running;
-                let consumed = {
-                    let mut api = PartitionApi::new(self, pid, slot.duration_us);
-                    guests.run_slot(pid, &mut api);
-                    api.consumed_us()
-                };
-                // Slot end: land the sampling writes the slot coalesced.
-                self.commit_port_stage();
-                if self.parts[idx].status == PartitionStatus::Running {
-                    self.parts[idx].status = PartitionStatus::Ready;
-                } else if self.parts[idx].status == PartitionStatus::Idle {
-                    // idle_self lasts until the next slot.
-                    self.parts[idx].status = PartitionStatus::Ready;
-                }
-                if !self.alive() {
-                    break;
-                }
-                if consumed > slot.duration_us {
-                    // Temporal isolation violation: the partition held the
-                    // CPU past its slot, delaying everything after it.
-                    let overrun = consumed - slot.duration_us;
-                    self.advance_and_process(slot_start + consumed);
-                    if !self.alive() {
-                        break;
-                    }
-                    self.sched.note_overrun();
-                    self.hm_event(HmEventKind::SchedOverrun { overrun_us: overrun }, Some(pid));
-                    self.record_slot_end(pid, slot_idx);
-                } else {
-                    self.advance_and_process(
-                        (slot_start + slot.duration_us).max(self.machine.now()),
-                    );
-                    self.record_slot_end(pid, slot_idx);
-                }
-            }
+            let major_frame_us = self.run_slots(guests, None);
             if !self.alive() {
                 break;
             }
-            let frame_end = frame_start + plan.major_frame_us;
+            let frame_end = self.frame_start + major_frame_us;
             self.advance_and_process(frame_end.max(self.machine.now()));
             if !self.alive() {
                 break;
             }
+            self.next_slot = 0;
             self.frames_run += 1;
             if let Some((from, to)) = self.sched.finish_frame() {
                 self.ops_push(OpsEvent::PlanSwitched { from, to });
             }
         }
+    }
+
+    /// Runs the current frame up to, but not into, the first slot of
+    /// `partition`, and keeps the flight events of the slots it ran (see
+    /// [`XmKernel::step_major_frames`]). These slots are the same in every
+    /// run from boot until `partition` first executes, so a snapshot taken
+    /// here replaces re-running them per test.
+    ///
+    /// Returns whether the kernel is still a faithful snapshot point: true
+    /// after the prefix ran cleanly, and also (nothing run) when the kernel
+    /// is mid-frame or `partition` owns no slot of the current plan. False
+    /// when the prefix halted the kernel, crashed the simulator, switched
+    /// the plan (a cold reset does) or overflowed the capture window; the
+    /// kernel must then be discarded.
+    pub fn run_to_first_slot_of(&mut self, guests: &mut GuestSet, partition: u32) -> bool {
+        let plan = self.sched.current_plan();
+        let owns_slot = plan.slots.iter().any(|s| s.partition == partition);
+        if self.next_slot != 0 || !owns_slot || !self.alive() {
+            return true;
+        }
+        let plan_id = plan.id;
+        let ((), window) = flightrec::capture(PREFIX_FLIGHT_CAPACITY, || {
+            self.run_slots(guests, Some(partition));
+        });
+        // The cursor indexes into the plan the frame started with.
+        let clean = self.alive() && self.sched.current_plan_id() == plan_id && window.dropped == 0;
+        if clean && !window.events.is_empty() {
+            self.prefix_flight = Some(window.events.into());
+        }
+        clean
+    }
+
+    /// The slot loop: runs the current frame's slots from the cursor to
+    /// the frame's end, or up to (not into) the first slot `stop` owns.
+    /// Returns the length of the major frame the slots belong to. Stops
+    /// early once the kernel is no longer alive (the cursor then no longer
+    /// matters: a dead kernel never runs another slot).
+    fn run_slots(&mut self, guests: &mut GuestSet, stop: Option<u32>) -> u64 {
+        let (plan_table, plan_idx) = self.sched.current_plan_shared();
+        let plan = &plan_table[plan_idx];
+        if self.next_slot == 0 {
+            self.frame_start = self.machine.now();
+        }
+        let frame_start = self.frame_start;
+        for (slot_idx, slot) in plan.slots.iter().enumerate().skip(self.next_slot) {
+            let pid = slot.partition;
+            if stop == Some(pid) {
+                self.next_slot = slot_idx;
+                return plan.major_frame_us;
+            }
+            if !self.alive() {
+                break;
+            }
+            let slot_start = frame_start + slot.start_us;
+            let idx = pid as usize;
+            // Idle-slot fast path: an unschedulable partition's slot
+            // with no observable event in its window collapses both
+            // advances into one horizon-checked clock jump. A
+            // quiescent advance cannot change schedulability (or
+            // anything else), so pre-checking the status is equivalent
+            // to the slow path's advance-then-check ordering; neither
+            // path emits SlotBegin/SlotEnd for unschedulable slots.
+            if !self.parts[idx].status.schedulable()
+                && self.try_quiescent_advance(slot_start + slot.duration_us)
+            {
+                self.hm_reset_flags[idx] = false;
+                continue;
+            }
+            self.advance_and_process(slot_start.max(self.machine.now()));
+            if !self.alive() {
+                break;
+            }
+            self.hm_reset_flags[idx] = false;
+            if !self.parts[idx].status.schedulable() {
+                self.advance_and_process((slot_start + slot.duration_us).max(self.machine.now()));
+                continue;
+            }
+            flightrec::record(
+                self.machine.now(),
+                flightrec::EventKind::SlotBegin,
+                pid as u16,
+                slot_idx as u32,
+                slot.duration_us,
+                0,
+            );
+            self.parts[idx].status = PartitionStatus::Running;
+            let consumed = {
+                let mut api = PartitionApi::new(self, pid, slot.duration_us);
+                guests.run_slot(pid, &mut api);
+                api.consumed_us()
+            };
+            // Slot end: land the sampling writes the slot coalesced.
+            self.commit_port_stage();
+            if self.parts[idx].status == PartitionStatus::Running {
+                self.parts[idx].status = PartitionStatus::Ready;
+            } else if self.parts[idx].status == PartitionStatus::Idle {
+                // idle_self lasts until the next slot.
+                self.parts[idx].status = PartitionStatus::Ready;
+            }
+            if !self.alive() {
+                break;
+            }
+            if consumed > slot.duration_us {
+                // Temporal isolation violation: the partition held the
+                // CPU past its slot, delaying everything after it.
+                let overrun = consumed - slot.duration_us;
+                self.advance_and_process(slot_start + consumed);
+                if !self.alive() {
+                    break;
+                }
+                self.sched.note_overrun();
+                self.hm_event(HmEventKind::SchedOverrun { overrun_us: overrun }, Some(pid));
+                self.record_slot_end(pid, slot_idx);
+            } else {
+                self.advance_and_process((slot_start + slot.duration_us).max(self.machine.now()));
+                self.record_slot_end(pid, slot_idx);
+            }
+        }
+        self.next_slot = plan.slots.len();
+        plan.major_frame_us
     }
 
     /// Flight-records the end of a scheduling slot.
@@ -846,9 +919,9 @@ impl XmKernel {
     /// dirty-page restore (see
     /// [`AddressSpace::restore_from`](leon3_sim::addrspace::AddressSpace::restore_from)),
     /// everything else through capacity-preserving `clone_from`s. This is
-    /// the flat-snapshot reset the campaign executor runs between tests —
-    /// one bounded copy, no refcount traffic, allocation-free once the
-    /// first restore has warmed the buffers.
+    /// the snapshot reset the campaign executor runs between tests — one
+    /// bounded copy, allocation-free once the first restore has warmed the
+    /// buffers.
     pub fn restore_from(&mut self, src: &Self) {
         // Exhaustive destructuring: adding a field without restoring it
         // becomes a compile error, not a silent determinism bug.
@@ -881,6 +954,9 @@ impl XmKernel {
             adv_processed,
             port_stage,
             stage_dirty,
+            frame_start,
+            next_slot,
+            prefix_flight,
         } = self;
         machine.restore_from(&src.machine);
         cfg.clone_from(&src.cfg);
@@ -919,6 +995,9 @@ impl XmKernel {
             st.buf.clear();
         }
         stage_dirty.clear();
+        *frame_start = src.frame_start;
+        *next_slot = src.next_slot;
+        prefix_flight.clone_from(&src.prefix_flight);
     }
 
     /// Snapshot of everything the harness observes.
@@ -1206,6 +1285,146 @@ mod tests {
         let hc = RawHypercall::new(HypercallId::GetPlanStatus, vec![0]).unwrap();
         let r = k.hypercall(0, &hc);
         assert_eq!(r.cost_us, k.cfg.tuning.hypercall_cost_us);
+    }
+
+    /// A guest that makes one hypercall and burns some budget per slot,
+    /// so every slot leaves hypercall, time and console traces.
+    #[derive(Clone)]
+    struct Chatty;
+
+    impl crate::guest::GuestProgram for Chatty {
+        fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
+            let hc = RawHypercall::new(HypercallId::GetTime, vec![0, 0]).unwrap();
+            let _ = api.hypercall(&hc);
+            api.consume(1_000);
+        }
+
+        fn clone_boxed(&self) -> Option<Box<dyn crate::guest::GuestProgram>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    fn chatty(n: usize) -> GuestSet {
+        let mut g = GuestSet::idle(n);
+        for p in 0..n as u32 {
+            g.set(p, Box::new(Chatty));
+        }
+        g
+    }
+
+    /// Everything a run exposes: summary, clock, advance counts and the
+    /// drained flight stream (empty when `record` is off).
+    fn observe(k: &mut XmKernel, g: &mut GuestSet, frames: u32, record: bool) -> String {
+        if record {
+            flightrec::enable(4096);
+        }
+        k.step_major_frames(g, frames);
+        let flight = flightrec::drain();
+        flightrec::disable();
+        format!("{:?} {} {:?} {:?}", k.summary(), k.machine.now(), k.advance_stats(), flight)
+    }
+
+    /// Runs `frames` frames twice — straight from boot, and from a copy of
+    /// a kernel deferred to `part`'s first slot — and asserts the two runs
+    /// are indistinguishable, recorder on and off. Returns the deferred
+    /// prototype.
+    fn assert_deferral_transparent(cfg: XmConfig, part: u32, frames: u32) -> XmKernel {
+        let n = cfg.partitions.len();
+        let mut proto = XmKernel::boot(cfg.clone(), KernelBuild::Legacy).unwrap();
+        let mut proto_guests = chatty(n);
+        assert!(proto.run_to_first_slot_of(&mut proto_guests, part));
+        for record in [false, true] {
+            let mut fresh = XmKernel::boot(cfg.clone(), KernelBuild::Legacy).unwrap();
+            let want = observe(&mut fresh, &mut chatty(n), frames, record);
+            // Restored into a kernel that already ran, as a campaign worker does.
+            let mut ws = XmKernel::boot(cfg.clone(), KernelBuild::Legacy).unwrap();
+            ws.step_major_frames(&mut chatty(n), 2);
+            ws.restore_from(&proto);
+            let mut guests = proto_guests.try_clone().unwrap();
+            assert_eq!(observe(&mut ws, &mut guests, frames, record), want, "record={record}");
+        }
+        proto
+    }
+
+    #[test]
+    fn deferred_prefix_resumes_like_a_whole_frame() {
+        let proto = assert_deferral_transparent(test_config(), 1, 3);
+        // Partition 0's slot ran; the cursor waits at partition 1's.
+        assert_eq!(proto.machine.now(), 50_000);
+        assert_eq!(proto.next_slot, 1);
+        assert_eq!(proto.frames_run, 0);
+        assert!(proto.prefix_flight.as_ref().is_some_and(|e| !e.is_empty()));
+    }
+
+    #[test]
+    fn partition_owning_slot_zero_gets_an_empty_prefix() {
+        let proto = assert_deferral_transparent(test_config(), 0, 2);
+        assert_eq!(proto.machine.now(), 0);
+        assert_eq!(proto.next_slot, 0);
+        assert!(proto.prefix_flight.is_none());
+    }
+
+    #[test]
+    fn partition_without_a_slot_is_not_deferred() {
+        let mut cfg = test_config();
+        cfg.partitions.push(PartitionCfg {
+            id: 2,
+            name: "spare".into(),
+            system: false,
+            mem: vec![MemAreaCfg { base: 0x4030_0000, size: 0x1_0000, perms: Perms::RWX }],
+        });
+        let mut k = XmKernel::boot(cfg, KernelBuild::Legacy).unwrap();
+        assert!(k.run_to_first_slot_of(&mut chatty(3), 2));
+        assert_eq!((k.machine.now(), k.next_slot), (0, 0));
+        assert!(k.prefix_flight.is_none());
+        assert_eq!(k.advance_stats(), (0, 0));
+    }
+
+    #[test]
+    fn prefix_follows_the_current_plan() {
+        // Plan 1 reverses the slot order, so partition 0's first slot is
+        // second there.
+        let mut cfg = test_config();
+        let mut plan1 = cfg.plans[0].clone();
+        plan1.id = 1;
+        plan1.slots[0].partition = 1;
+        plan1.slots[1].partition = 0;
+        cfg.plans.push(plan1);
+        let mut k = XmKernel::boot(cfg.clone(), KernelBuild::Legacy).unwrap();
+        let mut guests = chatty(2);
+        assert!(k.sched.request_switch(1));
+        k.step_major_frames(&mut guests, 1);
+        assert_eq!(k.sched.current_plan_id(), 1);
+        let fresh = k.clone();
+        let fresh_guests = guests.try_clone().unwrap();
+        assert!(k.run_to_first_slot_of(&mut guests, 0));
+        assert_eq!((k.machine.now(), k.next_slot), (150_000, 1));
+        for record in [false, true] {
+            let mut a = fresh.clone();
+            let mut b = k.clone();
+            assert_eq!(
+                observe(&mut b, &mut guests.try_clone().unwrap(), 2, record),
+                observe(&mut a, &mut fresh_guests.try_clone().unwrap(), 2, record),
+            );
+        }
+    }
+
+    #[derive(Clone)]
+    struct Halter;
+
+    impl crate::guest::GuestProgram for Halter {
+        fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
+            let _ = api.hypercall(&RawHypercall::new(HypercallId::HaltSystem, vec![]).unwrap());
+        }
+    }
+
+    #[test]
+    fn prefix_that_halts_the_kernel_is_rejected() {
+        let mut k = XmKernel::boot(test_config(), KernelBuild::Legacy).unwrap();
+        let mut guests = chatty(2);
+        guests.set(0, Box::new(Halter));
+        assert!(!k.run_to_first_slot_of(&mut guests, 1));
+        assert!(!k.alive());
     }
 
     #[test]

@@ -19,6 +19,9 @@ use crate::retcode::XmRet;
 use crate::types::{XM_EXEC_CLOCK, XM_HW_CLOCK};
 use leon3_sim::addrspace::{AccessCtx, AccessKind};
 
+/// Bytes scanned for a name's NUL terminator (names are at most 31 bytes).
+const NAME_BUF: usize = 32;
+
 /// Numeric encoding of partition status for status hypercalls.
 pub fn status_code(s: PartitionStatus) -> u32 {
     match s {
@@ -132,24 +135,33 @@ impl XmKernel {
     /// surfaces at exactly the byte the per-byte loop would have faulted
     /// on, and a NUL inside a readable run still wins over a fault after
     /// it.
-    fn svc_read_cstring(&self, caller: u32, addr: u32, max: u32) -> Result<String, XmRet> {
-        let mut out = Vec::with_capacity(max as usize);
-        let mut pos = 0u32;
-        while pos < max {
+    /// The name is read into `buf` and validated as UTF-8 in place, so
+    /// the lookup allocates nothing.
+    fn svc_read_cstring<'b>(
+        &self,
+        caller: u32,
+        addr: u32,
+        buf: &'b mut [u8; NAME_BUF],
+    ) -> Result<&'b str, XmRet> {
+        let mut len = 0;
+        while len < NAME_BUF {
             let run = self
                 .machine
                 .mem
-                .read_run(AccessCtx::Partition(caller), addr.wrapping_add(pos), max - pos)
+                .read_run(
+                    AccessCtx::Partition(caller),
+                    addr.wrapping_add(len as u32),
+                    (NAME_BUF - len) as u32,
+                )
                 .map_err(|_| XmRet::InvalidParam)?;
-            match run.iter().position(|&b| b == 0) {
-                Some(n) => {
-                    out.extend_from_slice(&run[..n]);
-                    return String::from_utf8(out).map_err(|_| XmRet::InvalidParam);
-                }
-                None => {
-                    out.extend_from_slice(run);
-                    pos += run.len() as u32;
-                }
+            let (take, terminated) = match run.iter().position(|&b| b == 0) {
+                Some(n) => (n, true),
+                None => (run.len(), false),
+            };
+            buf[len..len + take].copy_from_slice(&run[..take]);
+            len += take;
+            if terminated {
+                return std::str::from_utf8(&buf[..len]).map_err(|_| XmRet::InvalidParam);
             }
         }
         Err(XmRet::InvalidParam) // unterminated
@@ -557,7 +569,8 @@ impl XmKernel {
         direction: u32,
         kind: PortKind,
     ) -> HcResult {
-        let name = match self.svc_read_cstring(caller, name_ptr, 32) {
+        let mut buf = [0; NAME_BUF];
+        let name = match self.svc_read_cstring(caller, name_ptr, &mut buf) {
             Ok(n) => n,
             Err(e) => return ret(e),
         };
@@ -566,7 +579,7 @@ impl XmKernel {
             1 => PortDirection::Destination,
             _ => return ret(XmRet::InvalidParam),
         };
-        match self.ports.create_port(caller, &name, kind, max_msg_size, max_msgs, dir) {
+        match self.ports.create_port(caller, name, kind, max_msg_size, max_msgs, dir) {
             Ok(desc) => {
                 flightrec::record_timeless(
                     flightrec::EventKind::PortCreated,
@@ -1075,7 +1088,8 @@ impl XmKernel {
         if entity > 1 {
             return ret(XmRet::InvalidParam);
         }
-        let name = match self.svc_read_cstring(caller, name_ptr, 32) {
+        let mut buf = [0; NAME_BUF];
+        let name = match self.svc_read_cstring(caller, name_ptr, &mut buf) {
             Ok(n) => n,
             Err(e) => return ret(e),
         };

@@ -777,3 +777,35 @@ fn garbage_register_model_missing_args_read_as_zero() {
     let hc = RawHypercall::new_unchecked(H::SetTimer, vec![]);
     assert_eq!(k.hypercall(SYS, &hc).result, OK);
 }
+
+// --- name arguments -----------------------------------------------------------
+
+/// Both name-taking services read the name the same way: a NUL within 32
+/// bytes ends it, and an unterminated, non-UTF-8 or unreadable name is an
+/// invalid parameter. A readable but unknown name is a configuration miss.
+#[test]
+fn name_arguments_keep_their_return_codes() {
+    let end = SYS_BASE + SIZE; // first unmapped byte after SYS memory
+    let (param, config) = (ret(XmRet::InvalidParam), ret(XmRet::InvalidConfig));
+    let mut name31 = [b'x'; 32];
+    name31[31] = 0;
+    let cases: [(&str, u32, &[u8], HcResult, HcResult); 7] = [
+        ("known", SCRATCH, b"queue\0", HcResult::Ret(1), HcResult::Ret(0)),
+        ("31 bytes", SCRATCH, &name31, config, config),
+        ("unterminated", SCRATCH, &[b'x'; 32], param, param),
+        ("non-UTF-8", SCRATCH, b"qu\xffue\0", param, param),
+        ("unmapped", 0, b"", param, param),
+        ("ends at region end", end - 4, b"abc\0", config, config),
+        ("crosses region end", end - 4, b"abcd", param, param),
+    ];
+    for (what, addr, bytes, gid_want, port_want) in cases {
+        let mut k = kernel(KernelBuild::Legacy);
+        if !bytes.is_empty() {
+            k.machine.mem.write_bytes(AccessCtx::Kernel, addr, bytes).unwrap();
+        }
+        let gid = call(&mut k, SYS, H::GetGidByName, vec![addr as u64, 1]);
+        assert_eq!(gid, gid_want, "{what}: XM_get_gid_by_name");
+        let port = call(&mut k, SYS, H::CreateQueuingPort, vec![addr as u64, 2, 32, 0]);
+        assert_eq!(port, port_want, "{what}: XM_create_queuing_port");
+    }
+}
