@@ -192,6 +192,27 @@ fn bench_expiry_batching(b: &mut Bench) {
     });
 }
 
+/// Catch-up of a software-managed HW-clock virtual timer whose period
+/// (13 µs) is just above the handler cost: one 250 ms major frame's
+/// worth of expiries (~19,000) processed in a single call, as the kernel
+/// does when a slot boundary finds the timer long overdue. The catch-up
+/// is closed form, so this costs a division, not a pass per expiry.
+fn bench_vtimer_catch_up(b: &mut Bench) {
+    use xtratum::config::KernelTuning;
+    use xtratum::vtimer::{process_hw_timer, ProcessOutcome, VTimer};
+
+    let tuning = KernelTuning::default();
+    let cost = tuning.vtimer_handler_cost_us as i64;
+    let limit = tuning.kernel_stack_frames;
+    let frame = |now: i64| {
+        let mut t = VTimer::default();
+        t.arm(0, cost + 1);
+        (process_hw_timer(&mut t, now, cost, limit), t.next_expiry)
+    };
+    assert_eq!(frame(250_000).0, ProcessOutcome::Done { delivered: 19_231 });
+    b.measure("vtimer_catch_up/healthy_period_frame", || black_box(frame(black_box(250_000))));
+}
+
 /// Before/after pair for the quiescent time advance. The old kernel
 /// walked the per-partition virtual-timer table and asked the timer
 /// block to scan its units on *every* advance, due or not; the shipped
@@ -321,6 +342,7 @@ fn main() {
     bench_advance_paths(&mut b);
     bench_expiry_batching(&mut b);
     bench_quiescent_advance(&mut b);
+    bench_vtimer_catch_up(&mut b);
     bench_trace_emission(&mut b);
     bench_flight_recorder(&mut b);
     b.finish();

@@ -31,8 +31,9 @@ use crate::classify::{Cause, Classification, CrashClass};
 use crate::flight::{FlightLog, TestFlight, DEFAULT_RING_CAPACITY};
 use crate::metrics::{CampaignMetrics, LocalMetrics, MetricsReport};
 use crate::oracle::{ChannelView, OracleContext};
-use crate::sequence::{run_one_sequence_bounded, MinimalRepro, SeqBooter, SequenceVerdict};
-use crate::shrink::shrink_sequence;
+use crate::sequence::{
+    run_one_sequence_bounded, shrink_to_minimal, MinimalRepro, SeqBooter, SequenceVerdict,
+};
 use crate::testbed::Testbed;
 use flightrec::{Event, EventKind, NO_PARTITION};
 use leon3_sim::addrspace::{AccessCtx, Perms};
@@ -830,14 +831,13 @@ fn run_case<'t>(
         FindingSig::Invariant(_) => CrashClass::Catastrophic,
     };
 
-    // Minimize, preserving the finding signature.
+    // Minimize, preserving the finding signature. The arena run above is
+    // the input's own verdict under the shrinker's evaluation.
     let minimal = if probe.steps.len() > 1 {
-        let out = shrink_sequence(
+        let minimal = shrink_to_minimal(
             &probe.steps,
+            &main.verdict,
             |cand| {
-                if cand.is_empty() {
-                    return false;
-                }
                 let (kernel, guests) = booter.booted(local);
                 match &sig {
                     FindingSig::Oracle(target) => {
@@ -845,39 +845,27 @@ fn run_case<'t>(
                         let eval =
                             run_one_sequence_bounded(tb, ctx, kernel, guests, cand, 1, horizon);
                         let _ = flightrec::drain();
-                        eval.verdict.classification == *target
+                        (eval.verdict.classification == *target).then_some(eval.verdict)
                     }
                     FindingSig::Invariant(_) => {
                         let run = evaluate_once(tb, ctx, kernel, guests, cand, horizon);
-                        finding_sig(&run.verdict, &run.violations).as_ref() == Some(&sig)
+                        (finding_sig(&run.verdict, &run.violations).as_ref() == Some(&sig))
+                            .then_some(run.verdict)
                     }
                 }
             },
             opts.shrink_budget,
         );
-        // Re-run the minimal reproducer; with retention on, its flight is
-        // the triage trace.
         if opts.record {
+            // With retention on, the minimal reproducer runs once more
+            // for its flight: the triage trace.
             let _ = flightrec::drain();
             flightrec::record(0, EventKind::TestBegin, NO_PARTITION, index as u32, 0, 0);
-        }
-        let (kernel, guests) = booter.booted(local);
-        if !opts.record {
-            let _ = flightrec::drain();
-        }
-        let meval = run_one_sequence_bounded(tb, ctx, kernel, guests, &out.steps, 1, horizon);
-        if opts.record {
+            let (kernel, guests) = booter.booted(local);
+            let _ = run_one_sequence_bounded(tb, ctx, kernel, guests, &minimal.steps, 1, horizon);
             end_check_flight(index, class, flights, hist);
-        } else {
-            let _ = flightrec::drain();
         }
-        Some(MinimalRepro {
-            steps: out.steps,
-            verdict: meval.verdict,
-            evals: out.evals,
-            removed_steps: out.removed_steps,
-            shrunk_args: out.shrunk_args,
-        })
+        Some(minimal)
     } else {
         // Nothing to shrink; keep the (≤1-step) probe's own flight.
         if opts.record {

@@ -40,10 +40,9 @@ use crate::exec::LiveStats;
 use crate::flight::{FlightLog, TestFlight, DEFAULT_RING_CAPACITY};
 use crate::metrics::{latency_rows, CampaignMetrics, LocalMetrics, MetricsReport, Phase};
 use crate::sequence::{
-    draw_weighted, run_one_sequence, AlphabetEntry, MinimalRepro, SeqBooter, SeqRng, SequenceEval,
-    SequenceVerdict,
+    draw_weighted, run_one_sequence, shrink_to_minimal, AlphabetEntry, MinimalRepro, SeqBooter,
+    SeqRng, SequenceEval, SequenceVerdict,
 };
-use crate::shrink::shrink_sequence;
 use crate::testbed::Testbed;
 use flightrec::coverage::{CoverageMap, EdgeTrace, ExecCoverage};
 use std::io::Write as _;
@@ -907,15 +906,13 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
             let minimal = opts.shrink.then(|| {
                 let target = refined.verdict.classification;
                 let t_shrink = opts.record.then(Instant::now);
-                let out = shrink_sequence(
+                let minimal = shrink_to_minimal(
                     steps,
+                    &refined.verdict,
                     |cand| {
-                        if cand.is_empty() {
-                            return false;
-                        }
                         let (kernel, guests) = booter.booted(local);
-                        let v = run_one_sequence(testbed, ctx, kernel, guests, cand, 1);
-                        v.verdict.classification == target
+                        let v = run_one_sequence(testbed, ctx, kernel, guests, cand, 1).verdict;
+                        (v.classification == target).then_some(v)
                     },
                     opts.shrink_budget,
                 );
@@ -924,6 +921,8 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
                 }
                 let _ = flightrec::drain(); // shrink evaluations are scaffolding
                 if opts.record {
+                    // The minimal reproducer runs once more, for its
+                    // flight: the triage artefact.
                     flightrec::record(
                         0,
                         flightrec::EventKind::TestBegin,
@@ -932,24 +931,16 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
                         0,
                         0,
                     );
-                }
-                let (kernel, guests) = booter.booted(local);
-                let minimal_eval = run_one_sequence(testbed, ctx, kernel, guests, &out.steps, 1);
-                let min_flight = flightrec::drain();
-                if opts.record {
+                    let (kernel, guests) = booter.booted(local);
+                    let _ = run_one_sequence(testbed, ctx, kernel, guests, &minimal.steps, 1);
+                    let min_flight = flightrec::drain();
                     flights.push(TestFlight {
                         index: exec_index as usize,
                         events: min_flight.events,
                         dropped: min_flight.dropped,
                     });
                 }
-                MinimalRepro {
-                    steps: out.steps,
-                    verdict: minimal_eval.verdict,
-                    evals: out.evals,
-                    removed_steps: out.removed_steps,
-                    shrunk_args: out.shrunk_args,
-                }
+                minimal
             });
             finding = Some(PendingFinding {
                 verdict: refined.verdict,

@@ -183,13 +183,13 @@ impl OracleContext {
 
     /// The string a `read_cstring` of caller memory at `addr` yields
     /// (`None` = the read itself faults).
-    pub fn string_at(&self, addr: u32) -> Option<String> {
+    pub fn string_at(&self, addr: u32) -> Option<&str> {
         if let Some((_, s)) = self.known_strings.iter().find(|(a, _)| *a == addr) {
-            return Some(s.clone());
+            return Some(s);
         }
         if self.accessible(addr, 1, 1) {
             // Unwritten caller memory is zeroed → empty string.
-            Some(String::new())
+            Some("")
         } else {
             None
         }
@@ -779,7 +779,7 @@ impl OracleContext {
             return Expectation::err(XmRet::InvalidParam, dir_param);
         }
         let dir = if direction == 0 { PortDirection::Source } else { PortDirection::Destination };
-        let Some(ch) = self.channel(&name, kind) else {
+        let Some(ch) = self.channel(name, kind) else {
             return Expectation::err(XmRet::InvalidConfig, 0);
         };
         if !ch.caller_is_source && !ch.caller_is_dest {
@@ -1097,8 +1097,8 @@ mod tests {
         assert!(!o.accessible(0x4000_1000, 4, 4)); // kernel space
         assert!(!o.accessible(2, 4, 4)); // misaligned
         assert!(o.accessible(0, 0, 4)); // empty never faults
-        assert_eq!(o.string_at(0x4010_9000).as_deref(), Some("GyroData"));
-        assert_eq!(o.string_at(SCRATCH as u32).as_deref(), Some(""));
+        assert_eq!(o.string_at(0x4010_9000), Some("GyroData"));
+        assert_eq!(o.string_at(SCRATCH as u32), Some(""));
         assert_eq!(o.string_at(3), None);
     }
 

@@ -18,9 +18,10 @@
 //! return-code comparison, then the architectural state diff.
 //!
 //! On any non-Pass verdict the sequence is re-evaluated one step per slot
-//! (exact step attribution), minimised by [`crate::shrink`], and the
-//! minimal reproducer is re-run — under the flight recorder when
-//! [`SequenceOptions::record`] is set — to yield a triage bundle.
+//! (exact step attribution) and minimised by [`crate::shrink`]; the
+//! minimal reproducer's verdict is the shrinker's own evaluation of it.
+//! When [`SequenceOptions::record`] is set, the minimal reproducer runs
+//! once more under the flight recorder to yield a triage bundle.
 
 use crate::classify::{Cause, Classification, CrashClass};
 use crate::flight::{FlightLog, TestFlight, DEFAULT_RING_CAPACITY};
@@ -146,19 +147,59 @@ struct SequenceGuest {
 }
 
 impl SequenceGuest {
-    fn new(
-        steps: Vec<RawHypercall>,
+    /// Installs a guest replaying `steps` in `guests`' slot `caller`. A
+    /// [`SequenceGuest`] already there (the previous run's, left in place
+    /// by a restore that skipped the test partition) is reset in place,
+    /// reusing its buffers; anything else is replaced by a new one.
+    fn install(
+        guests: &mut GuestSet,
+        caller: u32,
+        steps: &[RawHypercall],
         prologue: fn(&mut PartitionApi<'_>),
         steps_per_slot: usize,
-    ) -> Self {
-        SequenceGuest {
-            steps,
-            prologue,
-            steps_per_slot: steps_per_slot.max(1),
-            results: Vec::new(),
-            next: 0,
-            last_boot_count: None,
+    ) {
+        let present = guests
+            .get_mut(caller)
+            .and_then(|g| g.as_any_mut())
+            .is_some_and(|a| a.is::<SequenceGuest>());
+        if !present {
+            let empty = SequenceGuest {
+                steps: Vec::new(),
+                prologue,
+                steps_per_slot,
+                results: Vec::new(),
+                next: 0,
+                last_boot_count: None,
+            };
+            guests.set(caller, Box::new(empty));
         }
+        sequence_guest(guests, caller).reset(steps, prologue, steps_per_slot);
+    }
+
+    /// Returns the guest to the state of a new one replaying `steps`.
+    /// The destructure names every field, so a field added later cannot
+    /// be left holding the previous run's state.
+    fn reset(
+        &mut self,
+        steps: &[RawHypercall],
+        prologue: fn(&mut PartitionApi<'_>),
+        steps_per_slot: usize,
+    ) {
+        let SequenceGuest {
+            steps: own_steps,
+            prologue: own_prologue,
+            steps_per_slot: own_steps_per_slot,
+            results,
+            next,
+            last_boot_count,
+        } = self;
+        own_steps.clear();
+        own_steps.extend_from_slice(steps);
+        *own_prologue = prologue;
+        *own_steps_per_slot = steps_per_slot.max(1);
+        results.clear();
+        *next = 0;
+        *last_boot_count = None;
     }
 }
 
@@ -485,21 +526,43 @@ impl<'a> StateModel<'a> {
 
     /// The model's prediction of [`XmKernel::state_digest`].
     pub fn digest(&self) -> StateDigest {
-        StateDigest {
-            alive: self.alive,
-            sim_running: true,
-            partition_status: self.statuses.clone(),
-            reset_counts: self.reset_counts.clone(),
-            current_plan: self.current_plan,
-            pending_plan: self.pending_plan,
-            hw_timer_armed: self.hw_armed.clone(),
-            exec_timer_owner: self.exec_owner,
-            cold_resets: self.cold_resets,
-            warm_resets: self.warm_resets,
-            hm_entries: self.hm_len,
-            hm_cursor: self.hm_cursor,
-            caller_ports: self.caller_ports,
-        }
+        let mut out = StateDigest::default();
+        self.digest_into(&mut out);
+        out
+    }
+
+    /// [`StateModel::digest`] into a caller-owned buffer, reusing its
+    /// vectors' capacity (the per-frame comparison in
+    /// [`run_one_sequence`] allocates nothing once warm).
+    pub fn digest_into(&self, out: &mut StateDigest) {
+        let StateDigest {
+            alive,
+            sim_running,
+            partition_status,
+            reset_counts,
+            current_plan,
+            pending_plan,
+            hw_timer_armed,
+            exec_timer_owner,
+            cold_resets,
+            warm_resets,
+            hm_entries,
+            hm_cursor,
+            caller_ports,
+        } = out;
+        *alive = self.alive;
+        *sim_running = true;
+        partition_status.clone_from(&self.statuses);
+        reset_counts.clone_from(&self.reset_counts);
+        *current_plan = self.current_plan;
+        *pending_plan = self.pending_plan;
+        hw_timer_armed.clone_from(&self.hw_armed);
+        *exec_timer_owner = self.exec_owner;
+        *cold_resets = self.cold_resets;
+        *warm_resets = self.warm_resets;
+        *hm_entries = self.hm_len;
+        *hm_cursor = self.hm_cursor;
+        *caller_ports = self.caller_ports;
     }
 }
 
@@ -655,17 +718,17 @@ pub fn run_one_sequence_bounded<T: Testbed + ?Sized>(
     min_frames: usize,
 ) -> SequenceEval {
     let caller = testbed.test_partition();
-    guests.set(
-        caller,
-        Box::new(SequenceGuest::new(steps.to_vec(), testbed.prologue(), steps_per_slot)),
-    );
+    SequenceGuest::install(guests, caller, steps, testbed.prologue(), steps_per_slot);
     let mut model = StateModel::new(ctx);
     let mut outcomes: Vec<StepOutcome> = Vec::with_capacity(steps.len());
-    let mut frame_digests: Vec<u64> = Vec::new();
     let mut executed = 0usize;
     let mut verdict: Option<SequenceVerdict> = None;
     // Worst case one step per frame, plus slack for prologue re-runs.
     let frame_cap = (steps.len() + 4).max(min_frames) as u32;
+    let mut frame_digests: Vec<u64> = Vec::with_capacity(frame_cap as usize);
+    // Kernel-observed and model-predicted state, refilled every frame.
+    let mut digest = StateDigest::default();
+    let mut predicted = StateDigest::default();
     // Set when the run may stop with the remaining steps vacuously passed:
     // all steps done, a predicted system halt, or a caller both sides
     // agree is no longer schedulable.
@@ -674,7 +737,7 @@ pub fn run_one_sequence_bounded<T: Testbed + ?Sized>(
     for _ in 0..frame_cap {
         let schedulable_before = model.caller_schedulable();
         kernel.step_major_frames(guests, 1);
-        let new: Vec<Invocation> = sequence_guest(guests, caller).results[executed..].to_vec();
+        let new = &sequence_guest(guests, caller).results[executed..];
         let frame_exec = new.len();
 
         // Per-step comparison: first mismatch in this frame.
@@ -716,7 +779,7 @@ pub fn run_one_sequence_bounded<T: Testbed + ?Sized>(
 
         // Terminal signs take precedence over pairwise mismatches,
         // mirroring classify's rule order.
-        let digest = kernel.state_digest(caller);
+        kernel.state_digest_into(caller, &mut digest);
         frame_digests.push(digest.stable_hash());
         let last_step =
             if frame_exec > 0 { Some(executed + frame_exec - 1) } else { executed.checked_sub(1) };
@@ -783,7 +846,8 @@ pub fn run_one_sequence_bounded<T: Testbed + ?Sized>(
         }
 
         if let Some((classification, headline)) = terminal {
-            let mut diff = model.digest().diff(&digest);
+            model.digest_into(&mut predicted);
+            let mut diff = predicted.diff(&digest);
             diff.insert(0, headline);
             verdict =
                 Some(SequenceVerdict { classification, failing_step: last_step, state_diff: diff });
@@ -794,15 +858,15 @@ pub fn run_one_sequence_bounded<T: Testbed + ?Sized>(
                 state_diff: vec![msg],
             });
         } else if !halt_predicted {
-            let diff = model.digest().diff(&digest);
-            if !diff.is_empty() {
+            model.digest_into(&mut predicted);
+            if predicted != digest {
                 verdict = Some(SequenceVerdict {
                     classification: Classification {
                         class: CrashClass::Silent,
                         cause: Cause::WrongSuccess,
                     },
                     failing_step: last_step,
-                    state_diff: diff,
+                    state_diff: predicted.diff(&digest),
                 });
             }
         }
@@ -909,7 +973,10 @@ impl Default for SequenceOptions {
 pub struct MinimalRepro {
     /// The minimal step list (never empty).
     pub steps: Vec<RawHypercall>,
-    /// Verdict of re-running the minimal sequence (one step per slot).
+    /// Verdict of the minimal sequence (one step per slot): the verdict of
+    /// the shrinker's last accepted evaluation, or the input's own verdict
+    /// when the shrinker accepted no candidate. The minimal sequence is
+    /// that candidate, so running it again would give the same verdict.
     pub verdict: SequenceVerdict,
     /// Shrinker predicate evaluations spent.
     pub evals: usize,
@@ -917,6 +984,39 @@ pub struct MinimalRepro {
     pub removed_steps: usize,
     /// Argument words rewritten to canonical scalars.
     pub shrunk_args: usize,
+}
+
+/// Shrinks the failing `steps`, whose own evaluation gave `verdict`, into
+/// a [`MinimalRepro`]. `evaluate` runs one candidate and returns its
+/// verdict when the candidate still fails the same way. The shrinker
+/// returns its last accepted candidate, or the input when it accepted
+/// none, so the minimal's verdict is kept from that evaluation instead of
+/// being recomputed by another run.
+pub(crate) fn shrink_to_minimal(
+    steps: &[RawHypercall],
+    verdict: &SequenceVerdict,
+    mut evaluate: impl FnMut(&[RawHypercall]) -> Option<SequenceVerdict>,
+    budget: usize,
+) -> MinimalRepro {
+    let mut accepted: Option<SequenceVerdict> = None;
+    let out = shrink_sequence(
+        steps,
+        |cand| match evaluate(cand) {
+            Some(v) => {
+                accepted = Some(v);
+                true
+            }
+            None => false,
+        },
+        budget,
+    );
+    MinimalRepro {
+        steps: out.steps,
+        verdict: accepted.unwrap_or_else(|| verdict.clone()),
+        evals: out.evals,
+        removed_steps: out.removed_steps,
+        shrunk_args: out.shrunk_args,
+    }
 }
 
 /// One generated, executed and judged sequence.
@@ -1019,8 +1119,9 @@ impl<'t, T: Testbed + ?Sized> SeqBooter<'t, T> {
     }
 
     /// A booted pair rewound to (or freshly booted at) the boot state.
-    /// The test partition's guest is skipped on restore — every caller
-    /// immediately replaces it with a fresh [`SequenceGuest`].
+    /// The test partition's guest is skipped on restore: every caller
+    /// evaluates a sequence next, and the evaluation resets the
+    /// [`SequenceGuest`] left there in place.
     pub(crate) fn booted(&mut self, local: &mut LocalMetrics) -> (&mut XmKernel, &mut GuestSet) {
         let skip = self.testbed.test_partition();
         match &mut self.arena {
@@ -1076,10 +1177,10 @@ fn end_seq_flight(
 }
 
 /// Evaluates one spec end-to-end on a worker: main evaluation, one-step
-/// refinement on divergence, shrink, and minimal-reproducer verification.
-/// Recording state (when enabled) is managed so only the per-spec triage
-/// window survives: the whole main evaluation for passing sequences, the
-/// minimal reproducer's run for diverging ones.
+/// refinement on divergence, and shrink. Recording state (when enabled)
+/// is managed so only the per-spec triage window survives: the whole main
+/// evaluation for passing sequences, and for diverging ones a run of the
+/// minimal reproducer made only for its flight.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_spec<T: Testbed + ?Sized>(
     testbed: &T,
@@ -1159,14 +1260,13 @@ fn evaluate_spec<T: Testbed + ?Sized>(
     // classification under the same one-step-per-slot evaluation.
     let target = refined.verdict.classification;
     let t_shrink = opts.record.then(Instant::now);
-    let out = shrink_sequence(
+    let minimal = shrink_to_minimal(
         &spec.steps,
+        &refined.verdict,
         |cand| {
-            if cand.is_empty() {
-                return false;
-            }
             let (kernel, guests) = booter.booted(local);
-            run_one_sequence(testbed, ctx, kernel, guests, cand, 1).verdict.classification == target
+            let v = run_one_sequence(testbed, ctx, kernel, guests, cand, 1).verdict;
+            (v.classification == target).then_some(v)
         },
         opts.shrink_budget,
     );
@@ -1185,23 +1285,15 @@ fn evaluate_spec<T: Testbed + ?Sized>(
             0,
             0,
         );
-    }
-    let (kernel, guests) = booter.booted(local);
-    let minimal_eval = run_one_sequence(testbed, ctx, kernel, guests, &out.steps, 1);
-    if opts.record {
+        let (kernel, guests) = booter.booted(local);
+        let _ = run_one_sequence(testbed, ctx, kernel, guests, &minimal.steps, 1);
         end_seq_flight(spec.index, refined.verdict.classification.class, flights, hist);
     }
     SeqMemoEntry {
         verdict: refined.verdict,
         steps_executed: refined.steps_executed,
         outcomes: refined.outcomes,
-        minimal: Some(MinimalRepro {
-            steps: out.steps,
-            verdict: minimal_eval.verdict,
-            evals: out.evals,
-            removed_steps: out.removed_steps,
-            shrunk_args: out.shrunk_args,
-        }),
+        minimal: Some(minimal),
     }
 }
 
@@ -1540,6 +1632,183 @@ mod tests {
         assert!(d.reset_counts.iter().all(|&c| c == 1));
         m.begin_caller_slot();
         assert_eq!(m.digest().hm_entries, 3, "prologue re-run raises one HM event");
+    }
+
+    /// Two evaluations that should agree: verdict, executed steps,
+    /// per-step outcomes and per-frame digests.
+    fn assert_same_eval(a: &SequenceEval, b: &SequenceEval) {
+        assert_eq!(a.verdict, b.verdict);
+        assert_eq!(a.steps_executed, b.steps_executed);
+        assert_eq!(a.outcomes, b.outcomes);
+        assert_eq!(a.frame_digests, b.frame_digests);
+    }
+
+    /// A `SequenceGuest` left in the test partition by an earlier run is
+    /// reset in place; the next run must behave exactly as on a guest set
+    /// that never held one.
+    #[test]
+    fn reused_sequence_guest_matches_a_new_one() {
+        use crate::check::{enumerate_configs, probes_for, CheckScope, CheckTestbed};
+        let scope = CheckScope::default();
+        // The port probe only passes when the prologue has written the
+        // port name, so it also shows whether the prologue re-ran.
+        let names = ["create_sampling_port", "set_timer_periodic"];
+        let (cfg, probes) = enumerate_configs(&scope)
+            .into_iter()
+            .find_map(|c| {
+                let probes: Vec<_> =
+                    probes_for(&c).into_iter().filter(|p| names.contains(&p.name)).collect();
+                (probes.len() == names.len()).then_some((c, probes))
+            })
+            .expect("a configuration with a sampling channel");
+        let tb = CheckTestbed::new(cfg);
+        let horizon = scope.horizon as usize;
+        for build in [KernelBuild::Legacy, KernelBuild::Patched] {
+            let ctx = tb.oracle_context(build);
+            for (first, second) in [(&probes[0], &probes[1]), (&probes[1], &probes[0])] {
+                // A four-steps-per-slot run leaves its guest, results and
+                // cursor included, in the shared guest set.
+                let (mut kernel, mut guests) = tb.boot(build);
+                run_one_sequence_bounded(
+                    &tb,
+                    &ctx,
+                    &mut kernel,
+                    &mut guests,
+                    &first.steps,
+                    4,
+                    horizon,
+                );
+                let (mut kernel, _) = tb.boot(build);
+                let reused = run_one_sequence_bounded(
+                    &tb,
+                    &ctx,
+                    &mut kernel,
+                    &mut guests,
+                    &second.steps,
+                    1,
+                    horizon,
+                );
+                assert!(reused.steps_executed > 0, "{} executes steps", second.name);
+                let (mut kernel, mut guests) = tb.boot(build);
+                let fresh = run_one_sequence_bounded(
+                    &tb,
+                    &ctx,
+                    &mut kernel,
+                    &mut guests,
+                    &second.steps,
+                    1,
+                    horizon,
+                );
+                assert_same_eval(&reused, &fresh);
+            }
+        }
+    }
+
+    /// `digest_into` overwrites every field of a buffer that held a
+    /// different, longer digest, so it equals a digest built from scratch.
+    #[test]
+    fn digest_into_overwrites_a_used_buffer() {
+        use crate::check::{enumerate_configs, CheckScope, CheckTestbed, CALLER};
+        let stale = StateDigest {
+            alive: false,
+            sim_running: false,
+            partition_status: vec![PartitionStatus::Halted; 9],
+            reset_counts: vec![7; 9],
+            current_plan: 5,
+            pending_plan: Some(3),
+            hw_timer_armed: vec![true; 9],
+            exec_timer_owner: Some(8),
+            cold_resets: 4,
+            warm_resets: 4,
+            hm_entries: 40,
+            hm_cursor: 40,
+            caller_ports: 6,
+        };
+
+        let ctx = test_ctx();
+        let mut m = StateModel::new(&ctx);
+        m.apply_step(
+            &call(HypercallId::HaltPartition, &[1]),
+            &m.expect_step(&call(HypercallId::HaltPartition, &[1])),
+        );
+        let mut buf = stale.clone();
+        m.digest_into(&mut buf);
+        assert_eq!(buf, m.digest());
+        assert_eq!(buf.partition_status.len(), 3);
+        assert!(buf.alive && buf.sim_running);
+
+        let tb = CheckTestbed::new(enumerate_configs(&CheckScope::default()).remove(0));
+        let (kernel, _) = tb.boot(KernelBuild::Legacy);
+        let mut buf = stale;
+        kernel.state_digest_into(CALLER, &mut buf);
+        assert_eq!(buf, kernel.state_digest(CALLER));
+        assert!(buf.alive && buf.sim_running);
+    }
+
+    fn tagged(tag: &str) -> SequenceVerdict {
+        SequenceVerdict {
+            classification: Classification {
+                class: CrashClass::Silent,
+                cause: Cause::WrongSuccess,
+            },
+            failing_step: Some(0),
+            state_diff: vec![tag.to_string()],
+        }
+    }
+
+    /// The minimal's verdict is the one its own evaluation returned
+    /// during the shrink — the last accepted candidate's — never an
+    /// earlier accepted candidate's or the input's.
+    #[test]
+    fn shrink_to_minimal_keeps_the_last_accepted_verdict() {
+        let steps = vec![
+            call(HypercallId::GetTime, &[0, 0x4000_0000]),
+            call(HypercallId::SetTimer, &[0, 987, 13]),
+            call(HypercallId::HmStatus, &[0x4000_0000]),
+        ];
+        let mut seen = Vec::new();
+        let minimal = shrink_to_minimal(
+            &steps,
+            &tagged("input"),
+            |cand| {
+                seen.push(cand.to_vec());
+                // Needs a nonzero timer value and the exact HmStatus
+                // pointer, so the last tries (on HmStatus) are rejected.
+                let timer = cand.iter().any(|s| s.id == HypercallId::SetTimer && s.args()[1] != 0);
+                let status = cand.contains(&steps[2]);
+                (timer && status).then(|| tagged(&format!("{cand:?}")))
+            },
+            1_000,
+        );
+        assert_eq!(minimal.steps, [call(HypercallId::SetTimer, &[0, 1, 0]), steps[2]]);
+        assert_eq!(minimal.verdict, tagged(&format!("{:?}", minimal.steps)));
+        assert_eq!(minimal.evals, seen.len());
+        assert_eq!((minimal.removed_steps, minimal.shrunk_args), (1, 2));
+        // Later candidates were tried and rejected after the last accept.
+        assert_ne!(seen.last(), Some(&minimal.steps));
+    }
+
+    /// With no accepted candidate the minimal is the input, and so is its
+    /// verdict.
+    #[test]
+    fn shrink_to_minimal_without_progress_keeps_the_input_verdict() {
+        let steps =
+            vec![call(HypercallId::SetTimer, &[0, 1, 1]), call(HypercallId::GetTime, &[0, 0])];
+        let mut evals = 0;
+        let minimal = shrink_to_minimal(
+            &steps,
+            &tagged("input"),
+            |_| {
+                evals += 1;
+                None
+            },
+            1_000,
+        );
+        assert_eq!(minimal.steps, steps);
+        assert_eq!(minimal.verdict, tagged("input"));
+        assert!(evals > 0);
+        assert_eq!(minimal.evals, evals);
+        assert_eq!((minimal.removed_steps, minimal.shrunk_args), (0, 0));
     }
 
     #[test]

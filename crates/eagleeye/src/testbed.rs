@@ -310,7 +310,7 @@ mod tests {
         assert_eq!(ctx.channels.len(), 6);
         assert!(ctx.accessible(SCRATCH, 64, 8));
         assert!(!ctx.accessible(KERNEL_PTR, 4, 4));
-        assert_eq!(ctx.string_at(PTR_NAME_GYRO).as_deref(), Some("GyroData"));
+        assert_eq!(ctx.string_at(PTR_NAME_GYRO), Some("GyroData"));
     }
 
     #[test]

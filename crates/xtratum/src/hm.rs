@@ -242,11 +242,10 @@ impl HealthMonitor {
     }
 
     /// Reads up to `count` entries from the cursor, advancing it.
-    pub fn read(&mut self, count: usize) -> Vec<HmLogEntry> {
-        let end = (self.cursor + count).min(self.log.len());
-        let out = self.log[self.cursor..end].to_vec();
-        self.cursor = end;
-        out
+    pub fn read(&mut self, count: usize) -> &[HmLogEntry] {
+        let start = self.cursor;
+        self.cursor = (start + count).min(self.log.len());
+        &self.log[start..self.cursor]
     }
 
     /// Repositions the cursor. `whence`: 0 = set, 1 = current, 2 = end.

@@ -1086,27 +1086,52 @@ impl XmKernel {
     /// after every frame; every field here must be *exactly* predictable
     /// from documented hypercall semantics alone.
     pub fn state_digest(&self, caller: u32) -> StateDigest {
-        StateDigest {
-            alive: self.alive(),
-            sim_running: self.machine.is_running(),
-            partition_status: self.parts.iter().map(|p| p.status).collect(),
-            reset_counts: self.parts.iter().map(|p| p.reset_count).collect(),
-            current_plan: self.sched.current_plan_id(),
-            pending_plan: self.sched.pending_plan_id(),
-            hw_timer_armed: self.hw_vtimers.iter().map(|t| t.armed).collect(),
-            exec_timer_owner: self.exec_timer_owner,
-            cold_resets: self.cold_resets,
-            warm_resets: self.warm_resets,
-            hm_entries: self.hm.len() as u32,
-            hm_cursor: self.hm.cursor as u32,
-            caller_ports: self.port_count(caller) as u32,
-        }
+        let mut out = StateDigest::default();
+        self.state_digest_into(caller, &mut out);
+        out
+    }
+
+    /// [`XmKernel::state_digest`] into a caller-owned buffer, reusing its
+    /// vectors' capacity: allocation-free once `out` has held a digest of
+    /// this kernel.
+    pub fn state_digest_into(&self, caller: u32, out: &mut StateDigest) {
+        let StateDigest {
+            alive,
+            sim_running,
+            partition_status,
+            reset_counts,
+            current_plan,
+            pending_plan,
+            hw_timer_armed,
+            exec_timer_owner,
+            cold_resets,
+            warm_resets,
+            hm_entries,
+            hm_cursor,
+            caller_ports,
+        } = out;
+        *alive = self.alive();
+        *sim_running = self.machine.is_running();
+        partition_status.clear();
+        partition_status.extend(self.parts.iter().map(|p| p.status));
+        reset_counts.clear();
+        reset_counts.extend(self.parts.iter().map(|p| p.reset_count));
+        *current_plan = self.sched.current_plan_id();
+        *pending_plan = self.sched.pending_plan_id();
+        hw_timer_armed.clear();
+        hw_timer_armed.extend(self.hw_vtimers.iter().map(|t| t.armed));
+        *exec_timer_owner = self.exec_timer_owner;
+        *cold_resets = self.cold_resets;
+        *warm_resets = self.warm_resets;
+        *hm_entries = self.hm.len() as u32;
+        *hm_cursor = self.hm.cursor as u32;
+        *caller_ports = self.port_count(caller) as u32;
     }
 }
 
 /// Snapshot of the architectural state compared by the stepwise
 /// differential oracle (see [`XmKernel::state_digest`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StateDigest {
     /// Kernel in `Normal` state and simulator running.
     pub alive: bool,

@@ -809,7 +809,7 @@ impl XmKernel {
         }
         let entries = self.hm.read(n);
         let mut words = Vec::with_capacity(n * 4);
-        for e in &entries {
+        for e in entries {
             words.push(e.time as u32);
             words.push((e.time >> 32) as u32);
             words.push(hm_class_code(&e.kind));

@@ -19,7 +19,9 @@
 //!
 //! The budget is deliberately ~50% above the measured steady state so it
 //! catches reintroduced per-slot/per-expiry allocation (dozens to
-//! hundreds per test) without flaking on allocator-library noise.
+//! hundreds per test) without flaking on allocator-library noise. A
+//! second budget does the same for one `run_one_sequence` evaluation, the
+//! per-unit path of the sequence, fuzz and check campaigns.
 
 use skrt::mutant::{take_invocations, MutantGuest};
 use skrt::observe::TestObservation;
@@ -258,5 +260,65 @@ fn snapshot_path_steady_state_allocations_stay_in_budget() {
         per_test_enabled <= BUDGET,
         "recorder-enabled test allocates {per_test_enabled} times per test (budget {BUDGET}); \
          the record path must write into the preallocated ring without allocating"
+    );
+}
+
+/// Steady-state allocation ceiling for one EagleEye `run_one_sequence`
+/// evaluation on a warm workspace — the stateful path the sequence, fuzz
+/// and check campaigns share. Measured at this pin: 11.4 per evaluation
+/// (24.3 when every frame copied the guest's new results into a `Vec`
+/// and built two fresh `StateDigest`s, and every run boxed a new
+/// `SequenceGuest`). What remains is per run, not per frame or step: the
+/// reference model's three vectors, the two digest buffers' three each,
+/// the returned outcome and frame-digest lists, and about one in the
+/// kernel. 17 ≈ 1.5 × 11.4.
+const SEQUENCE_BUDGET: u64 = 17;
+
+/// Sequences evaluated in each of the warm-up and measured passes.
+const SEQUENCES: usize = 50;
+
+#[test]
+fn sequence_evaluation_steady_state_allocations_stay_in_budget() {
+    use skrt::classify::CrashClass;
+    use skrt::sequence::run_one_sequence;
+
+    let testbed = eagleeye::EagleEye;
+    let build = KernelBuild::Patched;
+    let ctx = testbed.oracle_context(build);
+    // The seq_patched benchmark's shape: seeded 8-step sequences from the
+    // EagleEye alphabet, four steps per slot.
+    let specs = xm_campaign::eagleeye_sequence_specs(1, SEQUENCES, 8);
+    let snapshot = testbed.snapshot(build).expect("EagleEye snapshots");
+    let part = testbed.test_partition();
+    let mut ws = snapshot.workspace();
+    // Rewinds (allocation-free, pinned above) stay outside the window;
+    // only the evaluation itself is counted.
+    let run = |ws: &mut skrt::testbed::Workspace, steps| {
+        ws.restore(&snapshot, Some(part));
+        let (kernel, guests) = ws.parts();
+        resume_counting();
+        let eval = run_one_sequence(&testbed, &ctx, kernel, guests, steps, 4);
+        pause_counting();
+        eval
+    };
+
+    // Warm-up over the same sequences: the kernel's scratch buffers reach
+    // their high-water capacity, and the test partition holds a
+    // `SequenceGuest` whose buffers the measured runs reuse.
+    for spec in &specs {
+        run(&mut ws, &spec.steps);
+    }
+    start_counting();
+    pause_counting();
+    for spec in &specs {
+        let eval = run(&mut ws, &spec.steps);
+        assert_eq!(eval.verdict.classification.class, CrashClass::Pass);
+    }
+    let per_eval = counted() / SEQUENCES as u64;
+    assert!(
+        per_eval <= SEQUENCE_BUDGET,
+        "one warm sequence evaluation now allocates {per_eval} times (budget \
+         {SEQUENCE_BUDGET}); something reintroduced a per-frame or per-step allocation \
+         in run_one_sequence"
     );
 }
