@@ -332,6 +332,45 @@ fn bench_flight_recorder(b: &mut Bench) {
     flightrec::disable();
 }
 
+/// The temporal-isolation batch the paper's multicall finding injects:
+/// one legacy `XM_multicall(BATCH_START, BATCH_END)`, 2048 entries of
+/// FDIR RAM charged in closed form (one region lookup for the window).
+fn bench_multicall(b: &mut Bench) {
+    let (mut kernel, _guests) = EagleEye.boot(KernelBuild::Legacy);
+    let hc =
+        RawHypercall::new_unchecked(HypercallId::Multicall, [BATCH_START as u64, BATCH_END as u64]);
+    b.measure("multicall/legacy_batch_window", || black_box(kernel.hypercall(FDIR, &hc).result));
+}
+
+/// The per-test arena rewind the campaign executor pays: each sample runs
+/// every Table III case once from a worker's workspace and times only
+/// the restores that follow them (the dirty blocks each test left).
+fn bench_workspace_restore(b: &mut Bench) {
+    use skrt::mutant::MutantGuest;
+    use std::time::Instant;
+
+    let tb = EagleEye;
+    let cases = xm_campaign::paper_campaign().all_cases();
+    let snapshot = tb.snapshot(KernelBuild::Legacy).expect("EagleEye guests are cloneable");
+    let mut ws = snapshot.workspace();
+    let part = tb.test_partition();
+    let samples = if b.quick() { 3 } else { 10 };
+    let mut per_restore = Vec::with_capacity(samples);
+    for _ in 0..samples {
+        let mut restore_ns = 0u128;
+        for case in &cases {
+            let (kernel, guests) = ws.parts();
+            guests.set(part, Box::new(MutantGuest::new(case.raw(), tb.prologue())));
+            kernel.step_major_frames(guests, tb.frames_per_test());
+            let t = Instant::now();
+            ws.restore(&snapshot, Some(part));
+            restore_ns += t.elapsed().as_nanos();
+        }
+        per_restore.push(restore_ns as f64 / cases.len() as f64);
+    }
+    b.record("workspace/restore_after_table3_test", &per_restore, None);
+}
+
 fn main() {
     let mut b = Bench::new("kernel_microbench");
     b.note_host();
@@ -345,5 +384,7 @@ fn main() {
     bench_vtimer_catch_up(&mut b);
     bench_trace_emission(&mut b);
     bench_flight_recorder(&mut b);
+    bench_multicall(&mut b);
+    bench_workspace_restore(&mut b);
     b.finish();
 }

@@ -134,13 +134,16 @@ pub fn take_invocations(guests: &mut GuestSet, part: u32) -> Vec<Invocation> {
 
 impl GuestProgram for MutantGuest {
     fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
-        // Re-enter PartitionMain after any partition reset.
+        // Re-enter PartitionMain after any partition reset (a slot resumed
+        // from the boot snapshot has run this boot's prologue already).
         let boot = api.boot_count();
         if self.last_boot_count != Some(boot) {
             self.last_boot_count = Some(boot);
-            (self.prologue)(api);
-            if api.ended().is_some() {
-                return;
+            if !api.boot_prologue_done() {
+                (self.prologue)(api);
+                if api.ended().is_some() {
+                    return;
+                }
             }
         }
         if self.workload_us > 0 {

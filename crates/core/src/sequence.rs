@@ -208,9 +208,11 @@ impl GuestProgram for SequenceGuest {
         let bc = api.boot_count();
         if self.last_boot_count != Some(bc) {
             self.last_boot_count = Some(bc);
-            (self.prologue)(api);
-            if api.ended().is_some() {
-                return;
+            if !api.boot_prologue_done() {
+                (self.prologue)(api);
+                if api.ended().is_some() {
+                    return;
+                }
             }
         }
         let mut issued = 0;

@@ -13,12 +13,15 @@ use xtratum::kernel::XmKernel;
 use xtratum::vuln::KernelBuild;
 
 /// A booted testbed captured once per `(Testbed, KernelBuild)` and
-/// rewound to before every test. The capture point is the test
-/// partition's first slot (see [`Testbed::snapshot`]): booting plus the
-/// nominal partitions' first-frame slots are identical in every test, so
-/// they run once here instead of once per test. The kernel keeps the
-/// flight events of those slots and replays them when it resumes, so a
-/// test's recording is the same as on a fresh boot.
+/// rewound to before every test. The capture point is inside the test
+/// partition's first slot, just after its boot prologue (see
+/// [`Testbed::snapshot`]): booting, the nominal partitions' first-frame
+/// slots and the prologue are identical in every test, so they run once
+/// here instead of once per test. The kernel keeps the flight events of
+/// that prefix and replays them when it resumes, and the resumed slot
+/// tells the test's guest that the prologue has run (see
+/// [`PartitionApi::boot_prologue_done`]), so a test's run and recording
+/// are the same as on a fresh boot.
 pub struct BootSnapshot {
     kernel: XmKernel,
     guests: GuestSet,
@@ -50,11 +53,11 @@ impl BootSnapshot {
 
 /// A worker's persistent execution arena over a [`BootSnapshot`].
 ///
-/// The snapshot's memory is held in 4 KiB pages with dirty tracking (see
-/// [`leon3_sim::addrspace::AddressSpace`]), so [`Workspace::restore`] is
-/// one bounded copy: dirty pages stream back from the snapshot image,
-/// kernel bookkeeping rewinds through capacity-preserving `clone_from`s,
-/// and guests reset by assignment. No allocation once the first test has
+/// The snapshot's memory is held in 4 KiB pages with dirty tracking in
+/// 256-byte blocks (see [`leon3_sim::addrspace::AddressSpace`]), so
+/// [`Workspace::restore`] is one bounded copy: dirty blocks stream back
+/// from the snapshot image, kernel bookkeeping rewinds through
+/// capacity-preserving `clone_from`s, and guests reset by assignment. No allocation once the first test has
 /// warmed the buffers — this replaces the clone-per-test scheme whose
 /// copy-on-write page chasing dominated the campaign hot path.
 pub struct Workspace {
@@ -85,18 +88,29 @@ pub trait Testbed: Sync {
     /// Boots a fresh kernel + nominal guest set for one test execution.
     fn boot(&self, build: KernelBuild) -> (XmKernel, GuestSet);
 
-    /// Boots once, runs the first major frame up to (not into) the test
-    /// partition's first slot, and captures a reusable [`BootSnapshot`]
-    /// there — or `None` when this testbed's guests cannot be cloned (the
-    /// executor then falls back to one fresh [`Testbed::boot`] per test).
-    /// The snapshot stays at boot when the test partition owns no slot in
-    /// the first frame, or when that prefix would halt the kernel or crash
-    /// the simulator (see [`XmKernel::run_to_first_slot_of`]).
+    /// Boots once, runs the first major frame up to the test partition's
+    /// first slot, runs [`Testbed::prologue`] in that slot, and captures a
+    /// reusable [`BootSnapshot`] there with the slot parked — or `None`
+    /// when this testbed's guests cannot be cloned (the executor then falls
+    /// back to one fresh [`Testbed::boot`] per test).
+    ///
+    /// When the prologue cannot be parked (it ends the slot, uses up its
+    /// budget, stages a sampling write or kills the kernel), the snapshot
+    /// is taken before the slot instead, from a second boot, and the
+    /// test's guest runs the prologue itself; likewise, without a second
+    /// boot, when the test partition owns the frame's first slot or cannot
+    /// run in it. The snapshot stays at boot when the test partition owns
+    /// no slot in the first frame, or when the prefix would halt the kernel
+    /// or crash the simulator (see [`XmKernel::run_to_first_slot_of`]).
     fn snapshot(&self, build: KernelBuild) -> Option<BootSnapshot> {
-        let (mut kernel, mut guests) = self.boot(build);
-        if !kernel.run_to_first_slot_of(&mut guests, self.test_partition()) {
-            (kernel, guests) = self.boot(build);
+        let part = self.test_partition();
+        for prologue in [Some(self.prologue()), None] {
+            let (mut kernel, mut guests) = self.boot(build);
+            if kernel.run_to_first_slot_of(&mut guests, part, prologue) {
+                return BootSnapshot::capture(kernel, guests);
+            }
         }
+        let (kernel, guests) = self.boot(build);
         BootSnapshot::capture(kernel, guests)
     }
 

@@ -299,7 +299,8 @@ impl GuestProgram for FdirNominalGuest {
     }
 
     fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
-        if needs_boot(&mut self.last_boot, api) {
+        // A slot resumed from the boot snapshot ran the prologue already.
+        if needs_boot(&mut self.last_boot, api) && !api.boot_prologue_done() {
             fdir_prologue(api);
         }
         api.consume(2_000);

@@ -128,29 +128,39 @@ impl Region {
 
 const PAGE_BITS: usize = 12;
 const PAGE: usize = 1 << PAGE_BITS;
+const BLOCK_BITS: usize = 8;
+/// Granule of dirty tracking: a restore copies back whole 256-byte blocks.
+const BLOCK: usize = 1 << BLOCK_BITS;
 
-/// Backing store of one region: 4 KiB pages with dirty tracking.
+/// Backing store of one region: 4 KiB pages with dirty tracking in
+/// 256-byte blocks.
 ///
 /// Loads and stores are direct copies into the page they address — no
 /// refcounting, no copy-on-write bookkeeping on the access path. Every
-/// store marks the pages it touches; [`RegionMem::restore_from`] copies
-/// back only the marked pages, which is what makes per-test state reset
+/// store marks the blocks it touches; [`RegionMem::restore_from`] copies
+/// back only the marked blocks, which is what makes per-test state reset
 /// in the campaign executor a bounded memcpy proportional to the bytes a
 /// test actually dirtied, not to the configured memory size.
 ///
 /// A page is allocated at its first store; until then it reads as zeros.
-/// A campaign's boot snapshot has written only a handful of its pages (8
+/// A campaign's boot snapshot has written only a handful of its pages (9
 /// of 97 on the EagleEye testbed), so boot zeroes nothing and a snapshot
 /// clone copies only those.
 #[derive(Debug)]
 struct RegionMem {
     /// Page `i` of the region, `None` while it has never been written.
     pages: Box<[Option<Box<[u8; PAGE]>>]>,
-    /// Pages written since creation, the last clone, or the last restore.
+    /// Pages holding a block written since creation, the last clone, or
+    /// the last restore.
     dirty: Vec<u32>,
-    /// Per-page dirty bits mirroring `dirty` (constant-time dedup).
-    dirty_map: Box<[bool]>,
+    /// Per page, one bit per written block (bit `b` covers bytes
+    /// `b * BLOCK..(b + 1) * BLOCK`); non-zero exactly for the pages in
+    /// `dirty`, so it also dedups them in constant time.
+    dirty_blocks: Box<[u16]>,
 }
+
+// One bit per block of a page must fit the per-page mask.
+const _: () = assert!(PAGE / BLOCK == u16::BITS as usize);
 
 /// What a never-written page reads as.
 static ZERO_PAGE: [u8; PAGE] = [0; PAGE];
@@ -159,12 +169,12 @@ impl Clone for RegionMem {
     /// A clone starts with an empty dirty set: it is byte-identical to
     /// its source at clone time, so a later
     /// [`restore_from`](RegionMem::restore_from) against that (since
-    /// unmodified) source only needs the pages written *after* the clone.
+    /// unmodified) source only needs the blocks written *after* the clone.
     fn clone(&self) -> Self {
         RegionMem {
             pages: self.pages.clone(),
             dirty: Vec::new(),
-            dirty_map: vec![false; self.dirty_map.len()].into_boxed_slice(),
+            dirty_blocks: vec![0; self.dirty_blocks.len()].into_boxed_slice(),
         }
     }
 }
@@ -175,7 +185,7 @@ impl RegionMem {
         RegionMem {
             pages: (0..n_pages).map(|_| None).collect(),
             dirty: Vec::new(),
-            dirty_map: vec![false; n_pages].into_boxed_slice(),
+            dirty_blocks: vec![0; n_pages].into_boxed_slice(),
         }
     }
 
@@ -225,41 +235,52 @@ impl RegionMem {
         let (p, o) = (off >> PAGE_BITS, off & (PAGE - 1));
         if !data.is_empty() && o + data.len() <= PAGE {
             // The common case: the store stays within one page.
-            self.mark_dirty(p);
-            let page = self.pages[p].get_or_insert_with(|| Box::new([0; PAGE]));
-            page[o..o + data.len()].copy_from_slice(data);
+            self.write_in_page(p, o, data);
             return;
         }
         let mut pos = off;
         let mut rest = data;
         while !rest.is_empty() {
-            let p = pos >> PAGE_BITS;
-            let o = pos & (PAGE - 1);
+            let (p, o) = (pos >> PAGE_BITS, pos & (PAGE - 1));
             let n = rest.len().min(PAGE - o);
-            self.mark_dirty(p);
-            let page = self.pages[p].get_or_insert_with(|| Box::new([0; PAGE]));
-            page[o..o + n].copy_from_slice(&rest[..n]);
+            self.write_in_page(p, o, &rest[..n]);
             pos += n;
             rest = &rest[n..];
         }
     }
 
-    fn mark_dirty(&mut self, p: usize) {
-        if !self.dirty_map[p] {
-            self.dirty_map[p] = true;
+    /// Stores non-empty `data` at offset `o` of page `p`, which holds it.
+    fn write_in_page(&mut self, p: usize, o: usize, data: &[u8]) {
+        let (first, last) = (o >> BLOCK_BITS, (o + data.len() - 1) >> BLOCK_BITS);
+        let mask = ((2u32 << last) - (1u32 << first)) as u16;
+        if self.dirty_blocks[p] == 0 {
             self.dirty.push(p as u32);
         }
+        self.dirty_blocks[p] |= mask;
+        let page = self.pages[p].get_or_insert_with(|| Box::new([0; PAGE]));
+        page[o..o + data.len()].copy_from_slice(data);
     }
 
-    /// Copies back every dirty page from `src` and clears the dirty set.
-    /// `src` must be the buffer this one was cloned from (or restored to
-    /// last), unmodified since — clean pages are already identical.
+    /// Copies back every dirty block from `src` (zeros where `src` never
+    /// wrote the page) and clears the dirty set; adjacent dirty blocks go
+    /// in one copy. `src` must be the buffer this one was cloned from (or
+    /// restored to last), unmodified since — clean blocks are already
+    /// identical.
     fn restore_from(&mut self, src: &RegionMem) {
         debug_assert_eq!(self.pages.len(), src.pages.len());
         for &p in &self.dirty {
-            let page = self.pages[p as usize].as_mut().expect("a dirty page has been written");
-            page.copy_from_slice(src.page(p as usize));
-            self.dirty_map[p as usize] = false;
+            let p = p as usize;
+            let page = self.pages[p].as_mut().expect("a dirty page has been written");
+            let from = src.page(p);
+            let mut mask = std::mem::take(&mut self.dirty_blocks[p]) as u32;
+            while mask != 0 {
+                let first = mask.trailing_zeros();
+                let run = (mask >> first).trailing_ones();
+                let (lo, hi) =
+                    ((first as usize) << BLOCK_BITS, ((first + run) as usize) << BLOCK_BITS);
+                page[lo..hi].copy_from_slice(&from[lo..hi]);
+                mask &= !(((1u32 << run) - 1) << first);
+            }
         }
         self.dirty.clear();
     }
@@ -329,11 +350,11 @@ impl AddressSpace {
     }
 
     /// Restores every region to `src`'s contents by copying back only the
-    /// pages written since this space was cloned from `src` (or last
-    /// restored to it). `src` is the boot image: it must be
+    /// 256-byte blocks written since this space was cloned from `src` (or
+    /// last restored to it). `src` is the boot image: it must be
     /// unmodified since the clone, which holds for boot snapshots — they
     /// are never executed once captured. Allocation-free and bounded
-    /// by the number of dirty pages, this is the campaign executor's
+    /// by the number of dirty blocks, this is the campaign executor's
     /// per-test state reset.
     pub fn restore_from(&mut self, src: &AddressSpace) {
         debug_assert_eq!(self.backing.len(), src.backing.len(), "region layout mismatch");
@@ -343,8 +364,9 @@ impl AddressSpace {
         }
     }
 
-    /// Total pages currently marked dirty across all regions (diagnostics
-    /// for the restore path; a restore copies exactly this many pages).
+    /// Pages holding at least one dirty block, across all regions
+    /// (diagnostics for the restore path, which copies only those pages'
+    /// dirty blocks).
     pub fn dirty_pages(&self) -> usize {
         self.backing.iter().map(|b| b.dirty.len()).sum()
     }
@@ -419,6 +441,29 @@ impl AddressSpace {
                 }
             }
         }
+    }
+
+    /// How many consecutive aligned `width`-byte loads at `addr`,
+    /// `addr + width`, … succeed in `ctx`, capped at `max`: the load at
+    /// `addr + n * width` (`n` the result, when below `max`) is the first
+    /// that faults. Permissions are uniform within a region, so this costs
+    /// one region lookup per region the run crosses, not one per load.
+    pub fn aligned_read_count(&self, ctx: AccessCtx, addr: Addr, width: u32, max: u32) -> u32 {
+        debug_assert!(width > 0, "zero-width loads");
+        let mut n = 0u32;
+        let mut cur = addr as u64;
+        while n < max && cur + width as u64 <= 1 << 32 {
+            let Ok(idx) = self.locate(ctx, cur as Addr, width, width, AccessKind::Read) else {
+                break;
+            };
+            let region = &self.regions[idx];
+            let end = region.base as u64 + region.size as u64;
+            // At least one: the located load lies inside the region.
+            let fit = ((end - cur) / width as u64).min((max - n) as u64);
+            n += fit as u32;
+            cur += fit * width as u64;
+        }
+        n
     }
 
     fn offset(&self, idx: usize, addr: Addr) -> usize {
@@ -657,6 +702,152 @@ mod tests {
         ws.write_u32(p0, 0x4010_0000, 8).unwrap();
         ws.restore_from(&proto);
         assert_eq!(ws.read_u32(p0, 0x4010_0000).unwrap(), 7);
+    }
+
+    /// The blocks a region has marked dirty, as `(page, mask)` pairs in
+    /// marking order.
+    fn dirty_blocks(a: &AddressSpace, r: usize) -> Vec<(u32, u16)> {
+        let b = &a.backing[r];
+        b.dirty.iter().map(|&p| (p, b.dirty_blocks[p as usize])).collect()
+    }
+
+    #[test]
+    fn stores_mark_the_blocks_they_touch() {
+        let mut a = space();
+        let p0 = AccessCtx::Partition(0);
+        // Inside one block; the last byte of a block; across a block edge.
+        a.write_u32(p0, 0x4010_0010, 1).unwrap();
+        a.write_bytes(p0, 0x4010_00ff, &[7]).unwrap();
+        a.write_u32(p0, 0x4010_01fc, 2).unwrap();
+        assert_eq!(dirty_blocks(&a, 1), [(0, 0b11)]);
+        a.write_bytes(p0, 0x4010_01fe, &[3, 4, 5, 6]).unwrap();
+        assert_eq!(dirty_blocks(&a, 1), [(0, 0b111)]);
+        // Across a page edge: the last block of page 1, the first of page 2.
+        a.write_bytes(p0, 0x4010_1ffe, &[8, 9, 10, 11]).unwrap();
+        assert_eq!(dirty_blocks(&a, 1), [(0, 0b111), (1, 0x8000), (2, 0b1)]);
+        // A long store covers every block in between.
+        a.write_bytes(p0, 0x4010_3110, &[1; 0x220]).unwrap();
+        assert_eq!(dirty_blocks(&a, 1)[3..], [(3, 0b1110)]);
+        a.write_bytes(p0, 0x4010_4000, &[1; 0x1000]).unwrap();
+        assert_eq!(dirty_blocks(&a, 1)[4..], [(4, 0xFFFF)]);
+    }
+
+    #[test]
+    fn dirty_pages_counts_pages_holding_a_dirty_block() {
+        let proto = space();
+        let mut ws = proto.clone();
+        let p0 = AccessCtx::Partition(0);
+        assert_eq!(ws.dirty_pages(), 0);
+        // Three blocks of one page are one page.
+        for off in [0x000, 0x100, 0xf00] {
+            ws.write_u32(p0, 0x4010_0000 + off, 1).unwrap();
+        }
+        assert_eq!(ws.dirty_pages(), 1);
+        // Rewriting a dirty block adds nothing; a straddling store adds
+        // the next page.
+        ws.write_u32(p0, 0x4010_0000, 2).unwrap();
+        ws.write_bytes(p0, 0x4010_0ffe, &[1, 2, 3, 4]).unwrap();
+        assert_eq!(ws.dirty_pages(), 2);
+        // Pages of different regions each count.
+        ws.write_u32(AccessCtx::Kernel, 0x4000_0000, 1).unwrap();
+        ws.write_u32(AccessCtx::Partition(1), 0x4020_0000, 1).unwrap();
+        assert_eq!(ws.dirty_pages(), 4);
+        ws.restore_from(&proto);
+        assert_eq!(ws.dirty_pages(), 0);
+    }
+
+    #[test]
+    fn restore_copies_dirty_blocks_and_keeps_clean_ones() {
+        // A source with data in every block of page 0 and page 1 never
+        // written: the restore must bring back the source's bytes in the
+        // dirty blocks, zeros for page 1, and leave the rest alone.
+        let p0 = AccessCtx::Partition(0);
+        let mut proto = space();
+        let pattern: Vec<u8> = (0..0x1000u32).map(|i| (i * 7 + 3) as u8).collect();
+        proto.write_bytes(p0, 0x4010_0000, &pattern).unwrap();
+        let mut ws = proto.clone();
+        ws.write_bytes(p0, 0x4010_00fe, &[0xEE; 4]).unwrap();
+        ws.write_bytes(p0, 0x4010_0800, &[0xEE; 0x300]).unwrap();
+        ws.write_bytes(p0, 0x4010_0ffc, &[0xEE; 0x104]).unwrap();
+        assert_eq!(dirty_blocks(&ws, 1), [(0, 0b1000_0111_0000_0011), (1, 0b1)]);
+        ws.restore_from(&proto);
+        assert_eq!(ws.read_bytes(p0, 0x4010_0000, 0x1000).unwrap(), pattern);
+        assert_eq!(ws.read_bytes(p0, 0x4010_1000, 0x1000).unwrap(), vec![0; 0x1000]);
+        // The next round marks afresh: only its own blocks come back.
+        ws.write_u32(p0, 0x4010_1f00, 5).unwrap();
+        assert_eq!(dirty_blocks(&ws, 1), [(1, 0x8000)]);
+        ws.restore_from(&proto);
+        assert_eq!(ws.read_u32(p0, 0x4010_1f00).unwrap(), 0);
+    }
+
+    #[test]
+    fn random_stores_restore_to_the_source_bytes() {
+        let p0 = AccessCtx::Partition(0);
+        let mut proto = space();
+        proto.write_bytes(p0, 0x4010_2100, &[0x5A; 0x1800]).unwrap();
+        let want = proto.read_bytes(p0, 0x4010_0000, 0x10000).unwrap();
+        let mut ws = proto.clone();
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..50 {
+            for _ in 0..(1 + round % 7) {
+                let off = (next() % 0x10000) as u32;
+                let len = ((next() % 0x600) as u32).min(0x10000 - off);
+                let byte = next() as u8;
+                ws.write_bytes(p0, 0x4010_0000 + off, &vec![byte; len as usize]).unwrap();
+            }
+            ws.restore_from(&proto);
+            assert_eq!(ws.read_bytes(p0, 0x4010_0000, 0x10000).unwrap(), want, "round {round}");
+            assert_eq!(ws.dirty_pages(), 0);
+        }
+    }
+
+    #[test]
+    fn aligned_read_count_stops_at_the_first_faulting_load() {
+        let mut a = space();
+        // A region adjacent to p0's end, and one ending at 4 GiB.
+        for (name, base, size) in [("p0b", 0x4011_0000, 0x100), ("top", 0xFFFF_F000, 0x1000)] {
+            a.add_region(Region {
+                name: name.into(),
+                base,
+                size,
+                owner: Owner::Partition(0),
+                perms: Perms::RW,
+            })
+            .unwrap();
+        }
+        let (k, p0) = (AccessCtx::Kernel, AccessCtx::Partition(0));
+        let count = |ctx, addr, max| a.aligned_read_count(ctx, addr, 8, max);
+        // Misaligned start, zero cap, unmapped start.
+        assert_eq!(count(k, 0x4010_0004, 10), 0);
+        assert_eq!(count(k, 0x4010_0000, 0), 0);
+        assert_eq!(count(k, 0x1000, 10), 0);
+        // Capped inside a region; running exactly to its end.
+        assert_eq!(count(k, 0x4010_0000, 10), 10);
+        assert_eq!(count(k, 0x4010_fff0, 2), 2);
+        // Through two adjacent regions, then into the gap after them.
+        assert_eq!(count(k, 0x4010_fff0, 100), 2 + 0x20);
+        // Kernel context crosses owners; a partition stops at the first
+        // region it may not read.
+        assert_eq!(count(k, 0x4000_fff8, 3), 1);
+        assert_eq!(count(p0, 0x4000_0000, 3), 0);
+        assert_eq!(count(p0, 0x4010_fff8, 100), 1 + 0x20);
+        // Up to the last load below 4 GiB.
+        assert_eq!(count(k, 0xFFFF_FFF0, u32::MAX), 2);
+        assert_eq!(count(k, 0xFFFF_F000, u32::MAX), 0x200);
+        // Other widths follow the same rules.
+        assert_eq!(a.aligned_read_count(k, 0x4030_0ff8, 4, 10), 2);
+        // Every answer agrees with one load per address.
+        for (ctx, start) in [(k, 0x4010_ffc0), (p0, 0x4010_ffc0), (k, 0x4011_00c0)] {
+            let loop_count =
+                (0..64u32).take_while(|i| a.read_u64(ctx, start + i * 8).is_ok()).count();
+            assert_eq!(count(ctx, start, 64) as usize, loop_count, "{ctx:?} {start:#x}");
+        }
     }
 
     #[test]

@@ -176,11 +176,33 @@ pub struct PartitionApi<'k> {
     budget_us: u64,
     consumed_us: u64,
     ended: Option<NoReturnKind>,
+    prologue_done: bool,
 }
 
 impl<'k> PartitionApi<'k> {
     pub(crate) fn new(kern: &'k mut XmKernel, part: u32, budget_us: u64) -> Self {
-        PartitionApi { kern, part, budget_us, consumed_us: 0, ended: None }
+        PartitionApi { kern, part, budget_us, consumed_us: 0, ended: None, prologue_done: false }
+    }
+
+    /// The API of a parked slot resuming: the boot prologue has already
+    /// used `consumed_us` of the budget (see
+    /// [`XmKernel::run_to_first_slot_of`]).
+    pub(crate) fn resumed(
+        kern: &'k mut XmKernel,
+        part: u32,
+        budget_us: u64,
+        consumed_us: u64,
+    ) -> Self {
+        PartitionApi { kern, part, budget_us, consumed_us, ended: None, prologue_done: true }
+    }
+
+    /// True in a slot resumed from a boot snapshot that already ran this
+    /// boot's prologue in it (see [`XmKernel::run_to_first_slot_of`]). A
+    /// guest that sees a new [`boot_count`](Self::boot_count) here records
+    /// the boot as seen and skips its prologue; everywhere else this is
+    /// false and the guest runs the prologue itself.
+    pub fn boot_prologue_done(&self) -> bool {
+        self.prologue_done
     }
 
     /// This partition's id.

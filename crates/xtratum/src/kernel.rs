@@ -242,6 +242,11 @@ pub struct XmKernel {
     /// Only [`XmKernel::run_to_first_slot_of`] leaves a frame half-run;
     /// [`XmKernel::step_major_frames`] resumes it from here.
     next_slot: usize,
+    /// `Some(consumed)` when slot `next_slot` is parked: it was entered and
+    /// its partition's boot prologue ran in it, using `consumed` µs of the
+    /// slot budget (see [`XmKernel::run_to_first_slot_of`]). The frame
+    /// resumes inside that slot, without entering it again.
+    parked: Option<u64>,
     /// Flight events of the slots run by [`XmKernel::run_to_first_slot_of`],
     /// replayed into the recorder when the frame resumes, so a recording
     /// of the resumed run equals one of the whole frame. Shared with every
@@ -250,10 +255,11 @@ pub struct XmKernel {
 }
 
 /// Capture window for [`XmKernel::run_to_first_slot_of`], in events.
-/// EagleEye's prefix records 50; a prefix that overflows the window is not
-/// deferred. Kept small on purpose: the window is allocated and freed per
-/// snapshot, and a 1024-event (40 KiB) window made the allocator hand the
-/// snapshot's copy fresh pages, costing ~170 µs of set-up per snapshot.
+/// EagleEye's prefix and FDIR prologue record 66; a prefix that overflows
+/// the window is not deferred. Kept small on purpose: the window is
+/// allocated and freed per snapshot, and a 1024-event (40 KiB) window made
+/// the allocator hand the snapshot's copy fresh pages, costing ~170 µs of
+/// set-up per snapshot.
 const PREFIX_FLIGHT_CAPACITY: usize = 256;
 
 impl XmKernel {
@@ -343,6 +349,7 @@ impl XmKernel {
             stage_dirty: Vec::new(),
             frame_start: 0,
             next_slot: 0,
+            parked: None,
             prefix_flight: None,
             flags,
             build,
@@ -753,7 +760,8 @@ impl XmKernel {
     /// are done with the kernel afterwards pair this with
     /// [`XmKernel::into_summary`] to avoid copying the observation logs.
     /// A frame left half-run by [`XmKernel::run_to_first_slot_of`] is
-    /// resumed at its next slot and counts as the first of the `frames`.
+    /// resumed at its next slot (inside it, when the slot is parked) and
+    /// counts as the first of the `frames`.
     pub fn step_major_frames(&mut self, guests: &mut GuestSet, frames: u32) {
         if frames > 0 {
             if let Some(events) = self.prefix_flight.take() {
@@ -781,38 +789,103 @@ impl XmKernel {
         }
     }
 
-    /// Runs the current frame up to, but not into, the first slot of
-    /// `partition`, and keeps the flight events of the slots it ran (see
+    /// Runs the current frame up to the first slot of `partition`, and
+    /// keeps the flight events of what it ran (see
     /// [`XmKernel::step_major_frames`]). These slots are the same in every
     /// run from boot until `partition` first executes, so a snapshot taken
     /// here replaces re-running them per test.
     ///
-    /// Returns whether the kernel is still a faithful snapshot point: true
-    /// after the prefix ran cleanly, and also (nothing run) when the kernel
-    /// is mid-frame or `partition` owns no slot of the current plan. False
-    /// when the prefix halted the kernel, crashed the simulator, switched
-    /// the plan (a cold reset does) or overflowed the capture window; the
-    /// kernel must then be discarded.
-    pub fn run_to_first_slot_of(&mut self, guests: &mut GuestSet, partition: u32) -> bool {
+    /// With a `prologue` (the boot initialisation every guest of
+    /// `partition` runs first, see [`PartitionApi::boot_prologue_done`]),
+    /// the kernel also enters that slot, runs `prologue` there and parks
+    /// the slot: the next [`XmKernel::step_major_frames`] resumes inside
+    /// it with the consumed budget preset, so the prologue too runs once
+    /// per snapshot instead of once per test. Parking needs the slot to
+    /// be able to go on exactly as a guest's own prologue would have left
+    /// it: the prologue must not end the slot, use up its budget, stage a
+    /// sampling write or kill the kernel. A kernel where it did is
+    /// returned as unusable (the caller retries without a prologue). When
+    /// `partition` owns the frame's first slot, or cannot run in its slot,
+    /// nothing is parked and the kernel stops before the slot.
+    ///
+    /// Returns whether the kernel is a faithful snapshot point: true after
+    /// the prefix (and a parked prologue) ran cleanly, and also (nothing
+    /// run) when the kernel is mid-frame or `partition` owns no slot of the
+    /// current plan. False when the run halted the kernel, crashed the
+    /// simulator, switched the plan (a cold reset does), overflowed the
+    /// capture window, or ran a prologue that cannot be parked; the kernel
+    /// must then be discarded.
+    pub fn run_to_first_slot_of(
+        &mut self,
+        guests: &mut GuestSet,
+        partition: u32,
+        prologue: Option<fn(&mut PartitionApi<'_>)>,
+    ) -> bool {
         let plan = self.sched.current_plan();
         let owns_slot = plan.slots.iter().any(|s| s.partition == partition);
         if self.next_slot != 0 || !owns_slot || !self.alive() {
             return true;
         }
         let plan_id = plan.id;
-        let ((), window) = flightrec::capture(PREFIX_FLIGHT_CAPACITY, || {
+        let (clean, window) = flightrec::capture(PREFIX_FLIGHT_CAPACITY, || {
             self.run_slots(guests, Some(partition));
+            // The cursor indexes into the plan the frame started with.
+            let clean = self.alive() && self.sched.current_plan_id() == plan_id;
+            match prologue {
+                Some(prologue) if clean => self.park_after_prologue(prologue),
+                _ => clean,
+            }
         });
-        // The cursor indexes into the plan the frame started with.
-        let clean = self.alive() && self.sched.current_plan_id() == plan_id && window.dropped == 0;
+        let clean = clean && window.dropped == 0;
         if clean && !window.events.is_empty() {
             self.prefix_flight = Some(window.events.into());
         }
         clean
     }
 
+    /// Enters slot `next_slot`, runs `prologue` in it as its partition and
+    /// parks the slot (see [`XmKernel::run_to_first_slot_of`]). Returns
+    /// false when the prologue left a slot that cannot be parked. Slot 0
+    /// is not parked: a cursor at 0 means a frame boundary.
+    fn park_after_prologue(&mut self, prologue: fn(&mut PartitionApi<'_>)) -> bool {
+        let slot_idx = self.next_slot;
+        let slot = self.sched.current_plan().slots[slot_idx];
+        let idx = slot.partition as usize;
+        if slot_idx == 0 || !self.parts[idx].status.schedulable() {
+            return true;
+        }
+        if !self.enter_slot(
+            slot.partition,
+            slot_idx,
+            self.frame_start + slot.start_us,
+            slot.duration_us,
+        ) {
+            return false;
+        }
+        let (consumed, ended) = {
+            let mut api = PartitionApi::new(self, slot.partition, slot.duration_us);
+            prologue(&mut api);
+            (api.consumed_us(), api.ended())
+        };
+        // A prologue that halts the kernel or crashes the simulator has
+        // ended the slot too.
+        let parkable =
+            ended.is_none() && consumed < slot.duration_us && self.stage_dirty.is_empty();
+        if parkable {
+            self.parked = Some(consumed);
+        }
+        parkable
+    }
+
+    /// Whether the frame will resume inside a parked slot (see
+    /// [`XmKernel::run_to_first_slot_of`]).
+    pub fn slot_parked(&self) -> bool {
+        self.parked.is_some()
+    }
+
     /// The slot loop: runs the current frame's slots from the cursor to
     /// the frame's end, or up to (not into) the first slot `stop` owns.
+    /// A parked slot at the cursor is resumed rather than entered.
     /// Returns the length of the major frame the slots belong to. Stops
     /// early once the kernel is no longer alive (the cursor then no longer
     /// matters: a dead kernel never runs another slot).
@@ -834,39 +907,17 @@ impl XmKernel {
             }
             let slot_start = frame_start + slot.start_us;
             let idx = pid as usize;
-            // Idle-slot fast path: an unschedulable partition's slot
-            // with no observable event in its window collapses both
-            // advances into one horizon-checked clock jump. A
-            // quiescent advance cannot change schedulability (or
-            // anything else), so pre-checking the status is equivalent
-            // to the slow path's advance-then-check ordering; neither
-            // path emits SlotBegin/SlotEnd for unschedulable slots.
-            if !self.parts[idx].status.schedulable()
-                && self.try_quiescent_advance(slot_start + slot.duration_us)
-            {
-                self.hm_reset_flags[idx] = false;
-                continue;
-            }
-            self.advance_and_process(slot_start.max(self.machine.now()));
-            if !self.alive() {
-                break;
-            }
-            self.hm_reset_flags[idx] = false;
-            if !self.parts[idx].status.schedulable() {
-                self.advance_and_process((slot_start + slot.duration_us).max(self.machine.now()));
-                continue;
-            }
-            flightrec::record(
-                self.machine.now(),
-                flightrec::EventKind::SlotBegin,
-                pid as u16,
-                slot_idx as u32,
-                slot.duration_us,
-                0,
-            );
-            self.parts[idx].status = PartitionStatus::Running;
             let consumed = {
-                let mut api = PartitionApi::new(self, pid, slot.duration_us);
+                let mut api = match self.parked.take() {
+                    // Entered at the snapshot; the prologue already ran.
+                    Some(consumed) => PartitionApi::resumed(self, pid, slot.duration_us, consumed),
+                    None => {
+                        if !self.enter_slot(pid, slot_idx, slot_start, slot.duration_us) {
+                            continue;
+                        }
+                        PartitionApi::new(self, pid, slot.duration_us)
+                    }
+                };
                 guests.run_slot(pid, &mut api);
                 api.consumed_us()
             };
@@ -899,6 +950,51 @@ impl XmKernel {
         }
         self.next_slot = plan.slots.len();
         plan.major_frame_us
+    }
+
+    /// Slot entry: advances to the slot's start and, when partition `pid`
+    /// can run, marks it running and records `SlotBegin`. Returns whether
+    /// the partition runs in this slot; when it cannot, the clock has
+    /// moved to the slot's end (or the kernel died on the way).
+    fn enter_slot(
+        &mut self,
+        pid: u32,
+        slot_idx: usize,
+        slot_start: TimeUs,
+        duration_us: u64,
+    ) -> bool {
+        let idx = pid as usize;
+        // Idle-slot fast path: an unschedulable partition's slot with no
+        // observable event in its window collapses both advances into one
+        // horizon-checked clock jump. A quiescent advance cannot change
+        // schedulability (or anything else), so pre-checking the status is
+        // equivalent to the slow path's advance-then-check ordering;
+        // neither path emits SlotBegin/SlotEnd for unschedulable slots.
+        if !self.parts[idx].status.schedulable()
+            && self.try_quiescent_advance(slot_start + duration_us)
+        {
+            self.hm_reset_flags[idx] = false;
+            return false;
+        }
+        self.advance_and_process(slot_start.max(self.machine.now()));
+        if !self.alive() {
+            return false;
+        }
+        self.hm_reset_flags[idx] = false;
+        if !self.parts[idx].status.schedulable() {
+            self.advance_and_process((slot_start + duration_us).max(self.machine.now()));
+            return false;
+        }
+        flightrec::record(
+            self.machine.now(),
+            flightrec::EventKind::SlotBegin,
+            pid as u16,
+            slot_idx as u32,
+            duration_us,
+            0,
+        );
+        self.parts[idx].status = PartitionStatus::Running;
+        true
     }
 
     /// Flight-records the end of a scheduling slot.
@@ -956,6 +1052,7 @@ impl XmKernel {
             stage_dirty,
             frame_start,
             next_slot,
+            parked,
             prefix_flight,
         } = self;
         machine.restore_from(&src.machine);
@@ -988,7 +1085,8 @@ impl XmKernel {
         *adv_quiescent = src.adv_quiescent;
         *adv_processed = src.adv_processed;
         // Snapshots are taken between slots, where the stage is always
-        // drained; clearing (capacity kept) restores that empty state.
+        // drained, or in a parked slot whose prologue staged nothing;
+        // clearing (capacity kept) restores that empty state.
         debug_assert!(src.stage_dirty.is_empty(), "snapshot has staged port writes");
         for st in port_stage.iter_mut() {
             st.writes = 0;
@@ -997,6 +1095,7 @@ impl XmKernel {
         stage_dirty.clear();
         *frame_start = src.frame_start;
         *next_slot = src.next_slot;
+        *parked = src.parked;
         prefix_flight.clone_from(&src.prefix_flight);
     }
 
@@ -1357,7 +1456,7 @@ mod tests {
         let n = cfg.partitions.len();
         let mut proto = XmKernel::boot(cfg.clone(), KernelBuild::Legacy).unwrap();
         let mut proto_guests = chatty(n);
-        assert!(proto.run_to_first_slot_of(&mut proto_guests, part));
+        assert!(proto.run_to_first_slot_of(&mut proto_guests, part, None));
         for record in [false, true] {
             let mut fresh = XmKernel::boot(cfg.clone(), KernelBuild::Legacy).unwrap();
             let want = observe(&mut fresh, &mut chatty(n), frames, record);
@@ -1399,7 +1498,7 @@ mod tests {
             mem: vec![MemAreaCfg { base: 0x4030_0000, size: 0x1_0000, perms: Perms::RWX }],
         });
         let mut k = XmKernel::boot(cfg, KernelBuild::Legacy).unwrap();
-        assert!(k.run_to_first_slot_of(&mut chatty(3), 2));
+        assert!(k.run_to_first_slot_of(&mut chatty(3), 2, None));
         assert_eq!((k.machine.now(), k.next_slot), (0, 0));
         assert!(k.prefix_flight.is_none());
         assert_eq!(k.advance_stats(), (0, 0));
@@ -1422,7 +1521,7 @@ mod tests {
         assert_eq!(k.sched.current_plan_id(), 1);
         let fresh = k.clone();
         let fresh_guests = guests.try_clone().unwrap();
-        assert!(k.run_to_first_slot_of(&mut guests, 0));
+        assert!(k.run_to_first_slot_of(&mut guests, 0, None));
         assert_eq!((k.machine.now(), k.next_slot), (150_000, 1));
         for record in [false, true] {
             let mut a = fresh.clone();
@@ -1448,8 +1547,217 @@ mod tests {
         let mut k = XmKernel::boot(test_config(), KernelBuild::Legacy).unwrap();
         let mut guests = chatty(2);
         guests.set(0, Box::new(Halter));
-        assert!(!k.run_to_first_slot_of(&mut guests, 1));
+        assert!(!k.run_to_first_slot_of(&mut guests, 1, None));
         assert!(!k.alive());
+    }
+
+    /// A guest that runs `prologue` once per boot, unless the slot was
+    /// resumed with the prologue done, then behaves like [`Chatty`].
+    #[derive(Clone)]
+    struct Booting {
+        prologue: fn(&mut PartitionApi<'_>),
+        last_boot: Option<u32>,
+    }
+
+    impl crate::guest::GuestProgram for Booting {
+        fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
+            let boot = api.boot_count();
+            if self.last_boot != Some(boot) {
+                self.last_boot = Some(boot);
+                if !api.boot_prologue_done() {
+                    (self.prologue)(api);
+                    if api.ended().is_some() {
+                        return;
+                    }
+                }
+            }
+            Chatty.run_slot(api);
+        }
+
+        fn clone_boxed(&self) -> Option<Box<dyn crate::guest::GuestProgram>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    fn booting(n: usize, part: u32, prologue: fn(&mut PartitionApi<'_>)) -> GuestSet {
+        let mut g = chatty(n);
+        g.set(part, Box::new(Booting { prologue, last_boot: None }));
+        g
+    }
+
+    /// Writes memory, issues a hypercall and burns budget.
+    fn busy_prologue(api: &mut PartitionApi<'_>) {
+        let base = 0x4010_0000 + api.partition_id() * 0x10_0000;
+        let _ = api.write_bytes(base + 0x100, b"prologue");
+        let _ = api.hypercall(&RawHypercall::new(HypercallId::GetTime, vec![0, 0]).unwrap());
+        api.consume(2_000);
+    }
+
+    /// Like [`assert_deferral_transparent`], with `part`'s slot parked
+    /// after `prologue` (which must be parkable there).
+    fn assert_parking_transparent(
+        cfg: XmConfig,
+        part: u32,
+        prologue: fn(&mut PartitionApi<'_>),
+        frames: u32,
+    ) -> XmKernel {
+        let n = cfg.partitions.len();
+        let mut proto = XmKernel::boot(cfg.clone(), KernelBuild::Legacy).unwrap();
+        let mut proto_guests = booting(n, part, prologue);
+        assert!(proto.run_to_first_slot_of(&mut proto_guests, part, Some(prologue)));
+        for record in [false, true] {
+            let mut fresh = XmKernel::boot(cfg.clone(), KernelBuild::Legacy).unwrap();
+            let want = observe(&mut fresh, &mut booting(n, part, prologue), frames, record);
+            let mut ws = XmKernel::boot(cfg.clone(), KernelBuild::Legacy).unwrap();
+            ws.step_major_frames(&mut chatty(n), 2);
+            ws.restore_from(&proto);
+            let mut guests = proto_guests.try_clone().unwrap();
+            assert_eq!(observe(&mut ws, &mut guests, frames, record), want, "record={record}");
+        }
+        proto
+    }
+
+    #[test]
+    fn parked_prologue_resumes_like_a_whole_frame() {
+        let proto = assert_parking_transparent(test_config(), 1, busy_prologue, 3);
+        // Partition 0's slot ran and partition 1's was entered: the clock
+        // stands at its start, 2 ms of its budget gone.
+        assert_eq!(proto.machine.now(), 50_000);
+        let consumed = 2_000 + proto.cfg.tuning.hypercall_cost_us;
+        assert_eq!((proto.next_slot, proto.parked), (1, Some(consumed)));
+        assert_eq!(proto.partition_status(1), Some(PartitionStatus::Running));
+        assert_eq!(proto.frames_run, 0);
+        // The slot-entry advance happened in the snapshot.
+        let fresh = XmKernel::boot(test_config(), KernelBuild::Legacy).unwrap();
+        let mut before = fresh.clone();
+        assert!(before.run_to_first_slot_of(&mut chatty(2), 1, None));
+        assert_eq!(proto.advance_stats().0, before.advance_stats().0 + 1);
+    }
+
+    /// Runs `prologue` as partition 1's boot prologue in a snapshot of
+    /// `cfg` and asserts it is refused: the kernel must be discarded, and
+    /// a retry without the prologue stops before the slot.
+    fn assert_not_parked(cfg: XmConfig, prologue: fn(&mut PartitionApi<'_>)) {
+        let mut k = XmKernel::boot(cfg.clone(), KernelBuild::Legacy).unwrap();
+        assert!(!k.run_to_first_slot_of(&mut booting(2, 1, prologue), 1, Some(prologue)));
+        assert!(!k.slot_parked());
+        let retry = assert_deferral_transparent(cfg, 1, 2);
+        assert!(!retry.slot_parked());
+        assert_eq!(retry.next_slot, 1);
+    }
+
+    #[test]
+    fn self_halting_prologue_is_not_parked() {
+        fn halt_self(api: &mut PartitionApi<'_>) {
+            let id = api.partition_id() as u64;
+            let _ =
+                api.hypercall(&RawHypercall::new(HypercallId::HaltPartition, vec![id]).unwrap());
+        }
+        // XM_halt_partition is a system service.
+        let mut cfg = test_config();
+        cfg.partitions[1].system = true;
+        assert_not_parked(cfg, halt_self);
+    }
+
+    #[test]
+    fn kernel_halting_prologue_is_not_parked() {
+        fn halt_system(api: &mut PartitionApi<'_>) {
+            let _ = api.hypercall(&RawHypercall::new(HypercallId::HaltSystem, vec![]).unwrap());
+        }
+        let mut cfg = test_config();
+        cfg.partitions[1].system = true;
+        assert_not_parked(cfg, halt_system);
+    }
+
+    #[test]
+    fn overrunning_prologue_is_not_parked() {
+        fn burn_slot(api: &mut PartitionApi<'_>) {
+            let budget = api.budget_us();
+            api.consume(budget);
+        }
+        assert_not_parked(test_config(), burn_slot);
+    }
+
+    #[test]
+    fn prologue_staging_a_sampling_write_is_not_parked() {
+        use crate::config::{ChannelCfg, PortKind};
+        fn publish(api: &mut PartitionApi<'_>) {
+            let name = 0x4020_0200;
+            let msg = 0x4020_0300;
+            let _ = api.write_bytes(name, b"S\0");
+            let desc = api
+                .hypercall(
+                    &RawHypercall::new(HypercallId::CreateSamplingPort, vec![name as u64, 8, 0])
+                        .unwrap(),
+                )
+                .unwrap();
+            assert!(desc >= 0, "port created");
+            let write = vec![desc as u64, msg as u64, 8];
+            let _ = api
+                .hypercall(&RawHypercall::new(HypercallId::WriteSamplingMessage, write).unwrap());
+        }
+        let mut cfg = test_config();
+        cfg.channels.push(ChannelCfg {
+            name: "S".into(),
+            kind: PortKind::Sampling,
+            max_msg_size: 8,
+            max_msgs: 0,
+            source: 1,
+            destinations: vec![0],
+        });
+        assert_not_parked(cfg, publish);
+    }
+
+    #[test]
+    fn prologue_in_slot_zero_is_not_parked() {
+        let mut k = XmKernel::boot(test_config(), KernelBuild::Legacy).unwrap();
+        assert!(k.run_to_first_slot_of(&mut booting(2, 0, busy_prologue), 0, Some(busy_prologue)));
+        // Nothing ran: the kernel is still at boot, and a run from it
+        // matches one from a fresh boot.
+        assert!(!k.slot_parked());
+        assert_eq!((k.machine.now(), k.next_slot, k.advance_stats()), (0, 0, (0, 0)));
+        assert!(k.prefix_flight.is_none());
+        for record in [false, true] {
+            let mut fresh = XmKernel::boot(test_config(), KernelBuild::Legacy).unwrap();
+            let want = observe(&mut fresh, &mut booting(2, 0, busy_prologue), 2, record);
+            let got = observe(&mut k.clone(), &mut booting(2, 0, busy_prologue), 2, record);
+            assert_eq!(got, want, "record={record}");
+        }
+    }
+
+    #[test]
+    fn unschedulable_test_partition_is_not_parked() {
+        // Partition 0 suspends partition 1 in the prefix, so partition 1
+        // cannot run in its slot: the snapshot stops before that slot.
+        #[derive(Clone)]
+        struct Suspender;
+        impl crate::guest::GuestProgram for Suspender {
+            fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
+                let _ = api
+                    .hypercall(&RawHypercall::new(HypercallId::SuspendPartition, vec![1]).unwrap());
+            }
+            fn clone_boxed(&self) -> Option<Box<dyn crate::guest::GuestProgram>> {
+                Some(Box::new(Suspender))
+            }
+        }
+        let guests = || {
+            let mut g = booting(2, 1, busy_prologue);
+            g.set(0, Box::new(Suspender));
+            g
+        };
+        let mut proto = XmKernel::boot(test_config(), KernelBuild::Legacy).unwrap();
+        let mut proto_guests = guests();
+        assert!(proto.run_to_first_slot_of(&mut proto_guests, 1, Some(busy_prologue)));
+        assert_eq!(proto.partition_status(1), Some(PartitionStatus::Suspended));
+        assert!(!proto.slot_parked());
+        assert_eq!((proto.machine.now(), proto.next_slot), (50_000, 1));
+        for record in [false, true] {
+            let mut fresh = XmKernel::boot(test_config(), KernelBuild::Legacy).unwrap();
+            let want = observe(&mut fresh, &mut guests(), 2, record);
+            let mut ws = proto.clone();
+            let got = observe(&mut ws, &mut proto_guests.try_clone().unwrap(), 2, record);
+            assert_eq!(got, want, "record={record}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::observe::{OpsEvent, ResetKind};
 use crate::partition::PartitionStatus;
 use crate::retcode::XmRet;
 use crate::types::{XM_EXEC_CLOCK, XM_HW_CLOCK};
-use leon3_sim::addrspace::{AccessCtx, AccessKind};
+use leon3_sim::addrspace::{AccessCtx, AccessKind, MemFault};
 
 /// Bytes scanned for a name's NUL terminator (names are at most 31 bytes).
 const NAME_BUF: usize = 32;
@@ -1000,6 +1000,14 @@ impl XmKernel {
     /// instead attempted to execute the hypercall leading to unhandled
     /// data access exceptions. Additionally ... such a service may lead
     /// to breaking the temporal isolation."
+    ///
+    /// The batch is charged in closed form: the entries before the first
+    /// unreadable one cost `multicall_entry_cost_us` each, found with one
+    /// region lookup per region the batch crosses
+    /// ([`AddressSpace::aligned_read_count`](leon3_sim::addrspace::AddressSpace::aligned_read_count)),
+    /// and only the faulting entry is dereferenced — same result, cost,
+    /// trap, console line and HM event as walking the entries one by one
+    /// (the test module keeps that walk as the reference).
     fn svc_multicall(&mut self, caller: u32, start: u32, end: u32) -> (HcResult, u64) {
         if self.flags.multicall_removed {
             return (ret(XmRet::UnknownHypercall), 0);
@@ -1020,50 +1028,50 @@ impl XmKernel {
         {
             return (ret(XmRet::InvalidParam), 0);
         }
-        let cost_per = self.cfg.tuning.multicall_entry_cost_us;
-        let mut extra = 0u64;
-        for i in 0..entries {
-            let addr = start + i * 8;
-            // The defective kernel dereferences in supervisor context
-            // without validating the caller's rights.
-            match self.machine.mem.read_u64(AccessCtx::Kernel, addr) {
-                Ok(_word) => {
-                    // Batch entries are charged their service cost; their
-                    // payload semantics are modelled as no-ops (the
-                    // temporal effect is what the experiment measures).
-                    extra += cost_per;
-                }
-                Err(fault) => {
-                    let trap = fault.trap();
-                    self.machine.record_trap(trap);
-                    self.machine.uart.put_fmt(format_args!(
-                        "XM: unhandled {trap} while servicing XM_multicall\n"
-                    ));
-                    self.hm_event(
-                        HmEventKind::PartitionTrap {
-                            tt: trap.tt(),
-                            addr: match trap {
-                                leon3_sim::Trap::DataAccessException { addr } => Some(addr),
-                                _ => None,
-                            },
-                        },
-                        Some(caller),
-                    );
-                    let result = if self.partition_status(caller) == Some(PartitionStatus::Halted) {
-                        HcResult::NoReturn(NoReturnKind::CallerHalted)
-                    } else if self.partition_was_reset_by_hm(caller) {
-                        HcResult::NoReturn(NoReturnKind::CallerReset)
-                    } else {
-                        ret(XmRet::InvalidParam)
-                    };
-                    return (result, extra);
-                }
-            }
+        // The defective kernel dereferences in supervisor context without
+        // validating the caller's rights. Batch entries are charged their
+        // service cost; their payload semantics are modelled as no-ops
+        // (the temporal effect is what the experiment measures).
+        let readable = self.machine.mem.aligned_read_count(AccessCtx::Kernel, start, 8, entries);
+        let extra = readable as u64 * self.cfg.tuning.multicall_entry_cost_us;
+        if readable < entries {
+            let Err(fault) = self.machine.mem.read_u64(AccessCtx::Kernel, start + readable * 8)
+            else {
+                unreachable!("the entry after the readable run faults");
+            };
+            return (self.multicall_fault(caller, fault), extra);
         }
         if entries > 0 {
             self.ops_push(OpsEvent::MulticallExecuted { by: caller, entries });
         }
         (OK, extra)
+    }
+
+    /// The unhandled data-access exception of a batch entry: trap, console
+    /// line, HM event, and the caller's fate under the HM action.
+    fn multicall_fault(&mut self, caller: u32, fault: MemFault) -> HcResult {
+        let trap = fault.trap();
+        self.machine.record_trap(trap);
+        self.machine
+            .uart
+            .put_fmt(format_args!("XM: unhandled {trap} while servicing XM_multicall\n"));
+        self.hm_event(
+            HmEventKind::PartitionTrap {
+                tt: trap.tt(),
+                addr: match trap {
+                    leon3_sim::Trap::DataAccessException { addr } => Some(addr),
+                    _ => None,
+                },
+            },
+            Some(caller),
+        );
+        if self.partition_status(caller) == Some(PartitionStatus::Halted) {
+            HcResult::NoReturn(NoReturnKind::CallerHalted)
+        } else if self.partition_was_reset_by_hm(caller) {
+            HcResult::NoReturn(NoReturnKind::CallerReset)
+        } else {
+            ret(XmRet::InvalidParam)
+        }
     }
 
     fn svc_flush_cache(&mut self, mask: u32) -> HcResult {
@@ -1200,4 +1208,196 @@ enum AtomicOp {
     Add,
     And,
     Or,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{MemAreaCfg, PartitionCfg, PlanCfg, SlotCfg, XmConfig};
+    use crate::hm::{HmAction, HmEventClass};
+    use crate::vuln::{KernelBuild, VulnFlags};
+    use leon3_sim::addrspace::Perms;
+
+    /// The per-entry walk `svc_multicall` replaced: dereferences every
+    /// batch entry in turn. The closed form must match it exactly.
+    fn multicall_reference(k: &mut XmKernel, caller: u32, start: u32, end: u32) -> (HcResult, u64) {
+        if k.flags.multicall_removed {
+            return (ret(XmRet::UnknownHypercall), 0);
+        }
+        if end < start {
+            return (ret(XmRet::InvalidParam), 0);
+        }
+        let entries = (end - start) / 8;
+        if !k.flags.multicall_no_pointer_validation
+            && entries > 0
+            && k.svc_check(caller, start, entries * 8, 8, AccessKind::Read).is_err()
+        {
+            return (ret(XmRet::InvalidParam), 0);
+        }
+        if !k.flags.multicall_unbounded_batch && entries > k.cfg.tuning.multicall_max_entries {
+            return (ret(XmRet::InvalidParam), 0);
+        }
+        let cost_per = k.cfg.tuning.multicall_entry_cost_us;
+        let mut extra = 0u64;
+        for i in 0..entries {
+            match k.machine.mem.read_u64(AccessCtx::Kernel, start + i * 8) {
+                Ok(_) => extra += cost_per,
+                Err(fault) => return (k.multicall_fault(caller, fault), extra),
+            }
+        }
+        if entries > 0 {
+            k.ops_push(OpsEvent::MulticallExecuted { by: caller, entries });
+        }
+        (OK, extra)
+    }
+
+    const CALLER: u32 = 0;
+    /// EagleEye's partition RAM (`0x4010_0000 + p * 0x10_0000`, 64 KiB
+    /// each) plus three areas for the edge cases: one adjacent to the
+    /// caller's RAM, one whose size is not a multiple of 8, and one
+    /// ending at 4 GiB.
+    const ADJACENT: u32 = 0x4011_0000;
+    const ODD: u32 = 0x4060_0000;
+    const TOP: u32 = 0xFFFF_F000;
+
+    fn eagleeye_like(trap_action: HmAction) -> XmConfig {
+        let area = |base, size| MemAreaCfg { base, size, perms: Perms::RWX };
+        let partitions = (0..5u32)
+            .map(|id| {
+                let mut mem = vec![area(0x4010_0000 + id * 0x10_0000, 0x1_0000)];
+                match id {
+                    0 => mem.push(area(ADJACENT, 0x1000)),
+                    3 => mem.push(area(ODD, 0x1004)),
+                    4 => mem.push(area(TOP, 0x1000)),
+                    _ => {}
+                }
+                PartitionCfg { id, name: format!("P{id}"), system: id == CALLER, mem }
+            })
+            .collect();
+        let mut hm_table = XmConfig::default_hm_table();
+        hm_table.set(HmEventClass::PartitionTrap, trap_action);
+        XmConfig {
+            partitions,
+            plans: vec![PlanCfg {
+                id: 0,
+                major_frame_us: 250_000,
+                slots: vec![SlotCfg { partition: CALLER, start_us: 0, duration_us: 250_000 }],
+            }],
+            channels: vec![],
+            hm_table,
+            tuning: Default::default(),
+        }
+    }
+
+    /// Every flag combination the property runs under: both builds, and
+    /// legacy with pointer validation and/or the batch bound restored.
+    fn flag_sets() -> Vec<VulnFlags> {
+        let mut out = vec![VulnFlags::LEGACY, VulnFlags::PATCHED];
+        for (validate, bound) in [(true, false), (false, true), (true, true)] {
+            out.push(VulnFlags {
+                multicall_no_pointer_validation: !validate,
+                multicall_unbounded_batch: !bound,
+                ..VulnFlags::LEGACY
+            });
+        }
+        out
+    }
+
+    /// Everything a multicall can change that a caller or the harness
+    /// observes.
+    fn observe(k: &XmKernel, out: (HcResult, u64)) -> String {
+        format!(
+            "{out:?}\n{:?}\n{:?}\n{:?}\n{:?}",
+            k.machine.traps(),
+            k.machine.uart.captured(),
+            k.hm.log(),
+            k.ops
+        )
+    }
+
+    fn assert_matches_reference(kernels: &[XmKernel], label: &str, start: u32, end: u32) {
+        for proto in kernels {
+            let mut fast = proto.clone();
+            let mut slow = proto.clone();
+            let got = fast.svc_multicall(CALLER, start, end);
+            let want = multicall_reference(&mut slow, CALLER, start, end);
+            assert_eq!(
+                observe(&fast, got),
+                observe(&slow, want),
+                "{label}: XM_multicall({start:#x}, {end:#x}) under {:?}",
+                proto.flags
+            );
+        }
+    }
+
+    fn kernels() -> Vec<XmKernel> {
+        let mut out = Vec::new();
+        for action in [HmAction::HaltPartition, HmAction::Log, HmAction::ResetPartitionWarm] {
+            for flags in flag_sets() {
+                let k =
+                    XmKernel::boot_with_flags(eagleeye_like(action), KernelBuild::Legacy, flags);
+                out.push(k.expect("the test configuration is valid"));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn closed_form_multicall_matches_the_entry_walk_on_named_edges() {
+        let ks = kernels();
+        let fdir = 0x4010_0000;
+        let cases = [
+            ("misaligned start", fdir + 0x2004, fdir + 0x2104),
+            ("end < start", fdir + 0x6000, fdir + 0x2000),
+            ("EagleEye batch window", fdir + 0x2000, fdir + 0x6000),
+            ("ends exactly at a region boundary", fdir + 0xff00, ADJACENT),
+            ("two adjacent regions", fdir + 0xff00, ADJACENT + 0x100),
+            ("past the adjacent region into a gap", ADJACENT + 0xf00, ADJACENT + 0x1100),
+            ("a gap between regions", 0x4070_0000, 0x4070_0100),
+            ("a region whose size is not a multiple of 8", ODD + 0xff0, ODD + 0x1010),
+            ("running to u32::MAX", TOP + 0xf00, u32::MAX),
+            ("the last entry below 4 GiB", 0xFFFF_FFF8, u32::MAX),
+            ("kernel memory", 0x4000_0000, 0x4000_0100),
+            ("zero entries", fdir + 0x2000, fdir + 0x2007),
+            ("zero entries at an unmapped address", 0x10, 0x10),
+        ];
+        for (name, start, end) in cases {
+            assert_matches_reference(&ks, name, start, end);
+        }
+    }
+
+    #[test]
+    fn closed_form_multicall_matches_the_entry_walk_on_random_ranges() {
+        let ks = kernels();
+        // Region edges of the map above, and the address-space ends.
+        let mut anchors = vec![0u32, 0x4000_0000, 0x4001_0000, 0x8000_0000, 0x8000_1000, u32::MAX];
+        for p in 0..5u32 {
+            anchors.extend([0x4010_0000 + p * 0x10_0000, 0x4011_0000 + p * 0x10_0000]);
+        }
+        anchors.extend([ADJACENT + 0x1000, ODD + 0x1004, TOP]);
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // An anchor moved by up to ±0x200 bytes.
+        let pick = |r: u64| {
+            let a = anchors[(r % anchors.len() as u64) as usize] as i64;
+            let delta = ((r >> 32) % 0x400) as i64 - 0x200;
+            (a + delta).clamp(0, u32::MAX as i64) as u32
+        };
+        for _ in 0..400 {
+            let (r1, r2) = (next(), next());
+            let start = pick(r1);
+            // Mostly short batches near the start; sometimes any anchor.
+            let end = if r2 % 4 == 0 {
+                pick(r2 >> 2)
+            } else {
+                start.saturating_add((r2 >> 2) as u32 % 0x3000)
+            };
+            assert_matches_reference(&ks, "random", start, end);
+        }
+    }
 }

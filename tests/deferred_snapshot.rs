@@ -1,10 +1,11 @@
-//! The boot snapshot is taken at the test partition's first slot: the
-//! nominal EagleEye partitions have already run their first-frame slots
-//! in it, and the kernel replays those slots' flight events when a test
-//! resumes the frame. These tests pin that a test run from that snapshot
-//! is indistinguishable from one on a fresh boot — test records,
-//! sequence evaluations, run summaries and drained flight streams, byte
-//! for byte — on both builds, with the recorder on and off.
+//! The boot snapshot is taken inside the test partition's first slot,
+//! after its boot prologue: the nominal EagleEye partitions have already
+//! run their first-frame slots in it and FDIR has created its ports, and
+//! the kernel replays the flight events of all that when a test resumes
+//! the frame. These tests pin that a test run from that snapshot is
+//! indistinguishable from one on a fresh boot — test records, sequence
+//! evaluations, run summaries and drained flight streams, byte for byte —
+//! on both builds, with the recorder on and off.
 
 use eagleeye::EagleEye;
 use flightrec::{Event, EventKind};
@@ -24,11 +25,17 @@ const BUILDS: [KernelBuild; 2] = [KernelBuild::Legacy, KernelBuild::Patched];
 fn snapshot_sits_at_the_test_partitions_first_slot() {
     for build in BUILDS {
         let (kernel, _) = EagleEye.snapshot(build).unwrap().instantiate();
-        // AOCS, Payload, HK and TM/TC ran; FDIR's slot starts at 190 ms.
+        // AOCS, Payload, HK and TM/TC ran; FDIR's slot starts at 190 ms
+        // (machine time stands still inside a slot).
         assert_eq!(kernel.machine.now(), 190_000, "{build:?}");
         assert_eq!(kernel.summary().frames_completed, 0);
-        assert_eq!(kernel.port_count(EagleEye.test_partition()), 0);
         assert!(kernel.port_count(1) > 0, "AOCS created its port in the prefix");
+        // FDIR's slot is parked after its prologue: its four ports exist
+        // and its boot HM event is the only HM entry.
+        assert!(kernel.slot_parked());
+        assert_eq!(kernel.port_count(EagleEye.test_partition()), 4);
+        assert_eq!(kernel.hm_log().len(), 1);
+        assert_eq!(kernel.hm_log()[0].partition, Some(EagleEye.test_partition()));
     }
 }
 
@@ -159,5 +166,52 @@ fn fuzz_replays_match_a_fresh_boot() {
         let mut lists: Vec<_> = result.corpus.iter().map(|e| e.steps.clone()).collect();
         lists.extend(result.findings.iter().map(|f| f.steps.clone()));
         assert_sequences_match(build, &lists);
+    }
+}
+
+/// A mutant built with `MutantGuest::new` knows nothing of the snapshot.
+/// Installed into a workspace resumed inside the parked FDIR slot, it
+/// must issue only its fault placeholder there: the slot reports that the
+/// boot prologue already ran, so the ports are not re-created and the
+/// boot HM event is not raised twice.
+#[test]
+fn fresh_mutant_in_a_resumed_slot_issues_only_its_test_call() {
+    use skrt::mutant::{take_invocations, MutantGuest};
+    use xtratum::hypercall::HypercallId;
+
+    let part = EagleEye.test_partition();
+    let raw =
+        RawHypercall::new(HypercallId::GetTime, vec![0, eagleeye::map::SCRATCH as u64]).unwrap();
+    // FDIR's hypercalls in frame 1, its HM log and its invocations.
+    let run = |kernel: &mut xtratum::kernel::XmKernel, guests: &mut xtratum::guest::GuestSet| {
+        guests.set(part, Box::new(MutantGuest::new(raw, EagleEye.prologue())));
+        flightrec::enable(DEFAULT_RING_CAPACITY);
+        kernel.step_major_frames(guests, 1);
+        let calls: Vec<u32> = flightrec::drain()
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::HypercallEnter && e.partition == part as u16)
+            .map(|e| e.code)
+            .collect();
+        flightrec::disable();
+        (calls, kernel.hm_log().len(), take_invocations(guests, part))
+    };
+    for build in BUILDS {
+        let snap = EagleEye.snapshot(build).unwrap();
+        let mut ws = snap.workspace();
+        ws.restore(&snap, Some(part));
+        let (kernel, guests) = ws.parts();
+        assert!(kernel.slot_parked());
+        let resumed = run(kernel, guests);
+        let (mut kernel, mut guests) = EagleEye.boot(build);
+        assert_eq!(resumed, run(&mut kernel, &mut guests), "{build:?}");
+        // The replayed prologue (4 port creations and 1 HM raise), then
+        // exactly one test call.
+        let (calls, hm_entries, invocations) = resumed;
+        assert_eq!(calls.len(), 6, "{build:?}: {calls:?}");
+        assert_eq!(calls.iter().filter(|&&c| c == HypercallId::GetTime as u32).count(), 1);
+        assert_eq!(*calls.last().unwrap(), HypercallId::GetTime as u32);
+        assert_eq!(hm_entries, 1, "{build:?}: the boot HM event is raised once");
+        assert_eq!(invocations.len(), 1);
     }
 }
