@@ -1,8 +1,9 @@
 //! Substrate microbenches: hypercall dispatch latency per Table III
 //! category, single-test execution cost (fresh boot vs snapshot clone),
 //! nominal EagleEye mission throughput (major frames per second of host
-//! time), and paired before/after cases for the hot-path APIs that went
-//! allocation-free (timer advancement, trace-event emission).
+//! time), and the kernel hot-path primitives (timer advancement, expiry
+//! catch-up, quiescent advance, trace-event emission, flight recording,
+//! multicall batches, arena rewind).
 
 use eagleeye::map::*;
 use eagleeye::EagleEye;
@@ -109,27 +110,13 @@ fn bench_partition_runtimes(b: &mut Bench) {
     });
 }
 
-/// Before/after pair for timer advancement: the old `advance_to` returns
-/// a freshly collected `Vec<(unit, irq)>` per call; the sink-based
-/// `advance_to_with` delivers expiries through a closure and never
-/// allocates. Both sides advance the same periodic workload (two units,
-/// ~14 expiries per step) so the ratio isolates the allocation cost.
-fn bench_advance_paths(b: &mut Bench) {
-    let armed = || {
-        let mut t = GpTimer::new(2, 6);
-        assert!(t.arm(0, 100, Some(100)));
-        assert!(t.arm(1, 250, Some(250)));
-        t
-    };
-
-    let mut timer = armed();
-    let mut now = 0u64;
-    b.measure("timer_advance/vec_collect_api", || {
-        now += 1_000;
-        black_box(timer.advance_to(now).len())
-    });
-
-    let mut timer = armed();
+/// Sink-based timer advancement: expiries are delivered through a
+/// closure, never collected into an allocation. A periodic workload of
+/// two units fires ~14 expiries per step.
+fn bench_timer_advance(b: &mut Bench) {
+    let mut timer = GpTimer::new(2, 6);
+    assert!(timer.arm(0, 100, Some(100)));
+    assert!(timer.arm(1, 250, Some(250)));
     let mut now = 0u64;
     b.measure("timer_advance/sink_api", || {
         now += 1_000;
@@ -139,50 +126,10 @@ fn bench_advance_paths(b: &mut Bench) {
     });
 }
 
-/// Before/after pair for periodic expiry catch-up. The old
-/// `advance_to_with` walked each periodic unit forward one period at a
-/// time, so a unit whose period is far shorter than the advance window
-/// cost one loop iteration per expiry; the shipped code computes the fire
-/// count in closed form, O(1) per unit. The reference side is a faithful
-/// bench-local replica of the removed loop (the real code no longer has
-/// it), both sides re-arm a period-1 unit and sweep a 4000 us window —
-/// the storm-threshold scale the campaigns actually hit.
+/// Periodic expiry catch-up in closed form: a period-1 unit swept over a
+/// 4000 us window (the storm-threshold scale the campaigns actually hit)
+/// costs O(1) per unit, not one pass per expiry.
 fn bench_expiry_batching(b: &mut Bench) {
-    struct LoopUnit {
-        expiry: Option<u64>,
-        period: Option<u64>,
-        fired: u64,
-        irq: u8,
-    }
-    // One dyn sink call per fire, like the removed implementation — the
-    // indirect call is also what keeps the compiler from collapsing the
-    // reference loop into the very closed form we are comparing against.
-    fn loop_advance(units: &mut [LoopUnit], now: u64, sink: &mut dyn FnMut(usize, u8)) {
-        for (i, u) in units.iter_mut().enumerate() {
-            while let Some(exp) = u.expiry {
-                if exp > now {
-                    break;
-                }
-                u.fired += 1;
-                sink(i, u.irq);
-                u.expiry = match u.period {
-                    Some(p) if p > 0 => Some(exp + p),
-                    _ => None,
-                };
-            }
-        }
-    }
-
-    b.measure("expiry_batching/loop_reference", || {
-        let mut units = vec![LoopUnit { expiry: Some(1), period: Some(1), fired: 0, irq: 8 }];
-        let mut fired = 0u64;
-        let mut sink = |_: usize, _: u8| fired += 1;
-        // Opaque vtable: without this the optimiser devirtualises the
-        // sink, recognises the affine induction, and computes the whole
-        // "loop" in closed form — the very transformation under test.
-        loop_advance(&mut units, 4_000, black_box(&mut sink));
-        black_box(fired)
-    });
     b.measure("expiry_batching/closed_form", || {
         let mut t = GpTimer::new(1, 8);
         t.arm(0, 1, Some(1));
@@ -213,33 +160,10 @@ fn bench_vtimer_catch_up(b: &mut Bench) {
     b.measure("vtimer_catch_up/healthy_period_frame", || black_box(frame(black_box(250_000))));
 }
 
-/// Before/after pair for the quiescent time advance. The old kernel
-/// walked the per-partition virtual-timer table and asked the timer
-/// block to scan its units on *every* advance, due or not; the shipped
-/// code keeps an event horizon and collapses a no-event advance to a
-/// single clock store (`Machine::advance_quiescent`). The reference side
-/// replicates the removed per-advance scan over an EagleEye-sized
-/// vtimer table (6 partitions) plus the 2-unit timer block.
+/// The quiescent time advance: the kernel keeps an event horizon and
+/// collapses a no-event advance to a single clock store
+/// (`Machine::advance_quiescent`).
 fn bench_quiescent_advance(b: &mut Bench) {
-    #[derive(Clone, Copy)]
-    struct ScanTimer {
-        armed: bool,
-        next_expiry: i64,
-    }
-    let table = vec![ScanTimer { armed: false, next_expiry: 0 }; 6];
-    let mut timers = GpTimer::new(2, 6);
-    let mut now = 0u64;
-    b.measure("quiescent_advance/scan_reference", || {
-        now += 250;
-        let mut due = 0usize;
-        for t in &table {
-            if t.armed && t.next_expiry <= now as i64 {
-                due += 1;
-            }
-        }
-        black_box((timers.advance_to(now).len(), due))
-    });
-
     let mut m = Machine::new(MachineConfig::default());
     let mut now = 0u64;
     b.measure("quiescent_advance/horizon", || {
@@ -248,24 +172,11 @@ fn bench_quiescent_advance(b: &mut Bench) {
     });
 }
 
-/// Before/after pair for trace-event emission on the console: eagerly
-/// materialising the message with `format!` then transmitting it, vs
-/// rendering `format_args!` straight into the capture buffer. The
-/// capture is cleared well before its byte budget so both sides write
-/// into pre-grown storage at steady state.
+/// Trace-event emission on the console: `format_args!` rendered straight
+/// into the capture buffer. The capture is cleared well before its byte
+/// budget so every write lands in pre-grown storage at steady state.
 fn bench_trace_emission(b: &mut Bench) {
     const LIMIT: usize = 64 * 1024;
-    let mut uart = Uart::new(LIMIT);
-    let mut seq = 0u64;
-    b.measure("trace_emission/format_then_put_str", || {
-        seq = seq.wrapping_add(1);
-        if uart.captured().len() > LIMIT - 128 {
-            uart.clear();
-        }
-        uart.put_str(&format!("[HM] partition 4 event {seq} at {}us\n", seq * 250));
-        black_box(uart.captured().len())
-    });
-
     let mut uart = Uart::new(LIMIT);
     let mut seq = 0u64;
     b.measure("trace_emission/put_fmt_args", || {
@@ -378,7 +289,7 @@ fn main() {
     bench_single_test(&mut b);
     bench_mission(&mut b);
     bench_partition_runtimes(&mut b);
-    bench_advance_paths(&mut b);
+    bench_timer_advance(&mut b);
     bench_expiry_batching(&mut b);
     bench_quiescent_advance(&mut b);
     bench_vtimer_catch_up(&mut b);

@@ -28,13 +28,12 @@
 //! the same forensics path as fuzzer findings.
 
 use crate::classify::{Cause, Classification, CrashClass};
-use crate::flight::{FlightLog, TestFlight, DEFAULT_RING_CAPACITY};
-use crate::metrics::{CampaignMetrics, LocalMetrics, MetricsReport};
+use crate::executor::{Executor, Lane};
+use crate::flight::FlightLog;
+use crate::metrics::MetricsReport;
 use crate::oracle::{ChannelView, OracleContext};
-use crate::sequence::{
-    run_one_sequence_bounded, shrink_to_minimal, MinimalRepro, SeqBooter, SequenceVerdict,
-};
-use crate::testbed::Testbed;
+use crate::sequence::{run_one_sequence_bounded, shrink_to_minimal, MinimalRepro, SequenceVerdict};
+use crate::testbed::{Booter, Testbed};
 use flightrec::{Event, EventKind, NO_PARTITION};
 use leon3_sim::addrspace::{AccessCtx, Perms};
 use std::time::Instant;
@@ -779,23 +778,20 @@ fn evaluate_once(
     CaseRun { verdict: eval.verdict, steps_executed: eval.steps_executed, violations }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_case<'t>(
     tb: &'t CheckTestbed,
     ctx: &OracleContext,
     opts: &CheckOptions,
-    booter: &mut SeqBooter<'t, CheckTestbed>,
-    local: &mut LocalMetrics,
+    booter: &mut Booter<'t, CheckTestbed>,
+    lane: &mut Lane,
     index: usize,
     probe: &CheckProbe,
-    flights: &mut Vec<TestFlight>,
-    hist: &mut flightrec::HistogramSet,
 ) -> CheckCaseRecord {
     let t0 = Instant::now();
     let horizon = opts.scope.horizon as usize;
 
     // Main evaluation on the worker's arena.
-    let (kernel, guests) = booter.booted(local);
+    let (kernel, guests) = booter.booted(&mut lane.local);
     let main = evaluate_once(tb, ctx, kernel, guests, &probe.steps, horizon);
 
     let record = |run: CaseRun, minimal: Option<MinimalRepro>| CheckCaseRecord {
@@ -810,7 +806,7 @@ fn run_case<'t>(
     };
 
     if finding_sig(&main.verdict, &main.violations).is_none() {
-        local.note_outcome(CrashClass::Pass, t0.elapsed());
+        lane.local.note_outcome(CrashClass::Pass, t0.elapsed());
         return record(main, None);
     }
 
@@ -822,7 +818,7 @@ fn run_case<'t>(
     let Some(sig) = finding_sig(&fresh.verdict, &fresh.violations) else {
         // The arena run diverged but a fresh boot does not reproduce it:
         // the clean fresh outcome is authoritative.
-        local.note_outcome(CrashClass::Pass, t0.elapsed());
+        lane.local.note_outcome(CrashClass::Pass, t0.elapsed());
         return record(fresh, None);
     };
 
@@ -838,7 +834,7 @@ fn run_case<'t>(
             &probe.steps,
             &main.verdict,
             |cand| {
-                let (kernel, guests) = booter.booted(local);
+                let (kernel, guests) = booter.booted(&mut lane.local);
                 match &sig {
                     FindingSig::Oracle(target) => {
                         let _ = flightrec::drain();
@@ -861,9 +857,9 @@ fn run_case<'t>(
             // for its flight: the triage trace.
             let _ = flightrec::drain();
             flightrec::record(0, EventKind::TestBegin, NO_PARTITION, index as u32, 0, 0);
-            let (kernel, guests) = booter.booted(local);
+            let (kernel, guests) = booter.booted(&mut lane.local);
             let _ = run_one_sequence_bounded(tb, ctx, kernel, guests, &minimal.steps, 1, horizon);
-            end_check_flight(index, class, flights, hist);
+            lane.end_flight(index, class);
         }
         Some(minimal)
     } else {
@@ -871,31 +867,15 @@ fn run_case<'t>(
         if opts.record {
             let _ = flightrec::drain();
             flightrec::record(0, EventKind::TestBegin, NO_PARTITION, index as u32, 0, 0);
-            let (kernel, guests) = booter.booted(local);
+            let (kernel, guests) = booter.booted(&mut lane.local);
             let _ = run_one_sequence_bounded(tb, ctx, kernel, guests, &probe.steps, 1, horizon);
-            end_check_flight(index, class, flights, hist);
+            lane.end_flight(index, class);
         }
         None
     };
 
-    local.note_outcome(class, t0.elapsed());
+    lane.local.note_outcome(class, t0.elapsed());
     record(fresh, minimal)
-}
-
-fn end_check_flight(
-    index: usize,
-    class: CrashClass,
-    flights: &mut Vec<TestFlight>,
-    hist: &mut flightrec::HistogramSet,
-) {
-    flightrec::record_timeless(EventKind::TestEnd, NO_PARTITION, class.index() as u32, 0, 0);
-    let drained = flightrec::drain();
-    for e in &drained.events {
-        if e.kind == EventKind::HypercallExit {
-            hist.observe(e.code, e.b);
-        }
-    }
-    flights.push(TestFlight { index, events: drained.events, dropped: drained.dropped });
 }
 
 // ---------------------------------------------------------------------------
@@ -903,11 +883,10 @@ fn end_check_flight(
 // ---------------------------------------------------------------------------
 
 /// Exhaustively checks every configuration in `opts.scope`, in parallel,
-/// preserving enumeration order in the result. Mirrors
-/// [`crate::sequence::run_sequence_campaign`]: one work-stealing range per
-/// worker (work unit = one configuration, so a configuration's arena
-/// never crosses workers), per-worker metrics, lock-free hot path. The
-/// result is byte-identical across thread counts and recorder settings.
+/// preserving enumeration order in the result. One work unit per
+/// configuration on the shared `executor::Executor`, so a
+/// configuration's arena never crosses workers. The result is
+/// byte-identical across thread counts and recorder settings.
 pub fn run_check(opts: &CheckOptions) -> CheckResult {
     let started = Instant::now();
     let configs = enumerate_configs(&opts.scope);
@@ -920,87 +899,38 @@ pub fn run_check(opts: &CheckOptions) -> CheckResult {
         total_cases += set.len();
     }
 
-    let metrics = CampaignMetrics::new(1);
-    let n_threads = crate::exec::resolve_threads(opts.threads, configs.len());
-    let chunk = crate::exec::resolve_chunk(0, configs.len(), n_threads);
-    let queues = crate::exec::WorkStealQueues::new(configs.len(), n_threads);
-
-    let mut runs: Vec<(usize, Vec<CheckCaseRecord>)> = Vec::new();
-    let mut all_flights: Vec<TestFlight> = Vec::new();
-    let mut merged_hist = flightrec::HistogramSet::new(64);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|w| {
-                let (queues, metrics, configs, probe_sets, case_offsets) =
-                    (&queues, &metrics, &configs, &probe_sets, &case_offsets);
-                scope.spawn(move || {
-                    // The recorder always runs: the temporal invariants
-                    // are checked against its stream.
-                    flightrec::enable(DEFAULT_RING_CAPACITY);
-                    let mut local = LocalMetrics::new(1);
-                    let mut done: Vec<(usize, Vec<CheckCaseRecord>)> = Vec::new();
-                    let mut flights: Vec<TestFlight> = Vec::new();
-                    let mut hist = flightrec::HistogramSet::new(64);
-                    while let Some((lo, hi, stolen)) = queues.next_with_origin(w, chunk) {
-                        if stolen {
-                            local.note_steal();
-                        }
-                        for ci in lo..hi {
-                            let tb = CheckTestbed::new(configs[ci].clone());
-                            let ctx = tb.oracle_context(opts.build);
-                            let mut booter =
-                                SeqBooter::new(&tb, opts.build, true, false, &mut local);
-                            // The per-configuration boot belongs to no case.
-                            let _ = flightrec::drain();
-                            let mut records = Vec::with_capacity(probe_sets[ci].len());
-                            for (pi, probe) in probe_sets[ci].iter().enumerate() {
-                                records.push(run_case(
-                                    &tb,
-                                    &ctx,
-                                    opts,
-                                    &mut booter,
-                                    &mut local,
-                                    case_offsets[ci] + pi,
-                                    probe,
-                                    &mut flights,
-                                    &mut hist,
-                                ));
-                            }
-                            done.push((case_offsets[ci], records));
-                        }
-                    }
-                    flightrec::disable();
-                    metrics.merge_local(&local);
-                    (done, flights, hist)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (done, f, h) = h.join().expect("check worker panicked");
-            runs.extend(done);
-            all_flights.extend(f);
-            merged_hist.merge(&h);
-        }
-    });
-
-    runs.sort_unstable_by_key(|&(start, _)| start);
-    let cases: Vec<CheckCaseRecord> = runs.into_iter().flat_map(|(_, r)| r).collect();
+    // The recorder always runs: the temporal invariants are checked
+    // against its stream.
+    let mut executor = Executor::new(opts.threads, configs.len(), 1, true);
+    let cases = executor.run(
+        configs.len(),
+        0,
+        |_| (),
+        |_, lane, range| {
+            let mut records = Vec::new();
+            for ci in range {
+                let tb = CheckTestbed::new(configs[ci].clone());
+                let ctx = tb.oracle_context(opts.build);
+                let mut booter = Booter::new(&tb, opts.build, true, false, &mut lane.local);
+                // The per-configuration boot belongs to no case.
+                let _ = flightrec::drain();
+                for (pi, probe) in probe_sets[ci].iter().enumerate() {
+                    let index = case_offsets[ci] + pi;
+                    records.push(run_case(&tb, &ctx, opts, &mut booter, lane, index, probe));
+                }
+            }
+            records
+        },
+    );
     debug_assert_eq!(cases.len(), total_cases);
 
-    let flight = opts.record.then(|| {
-        all_flights.sort_by_key(|f| f.index);
-        FlightLog { tests: all_flights }
-    });
-    let mut report = metrics.finish(started.elapsed(), n_threads);
-    if opts.record {
-        report.hc_latency = crate::metrics::latency_rows(&merged_hist);
-    }
+    let (metrics, flight) = executor.finish(started, opts.record);
     CheckResult {
         build: opts.build,
         scope: opts.scope,
         configs: configs.len(),
         cases,
-        metrics: report,
+        metrics,
         flight,
     }
 }

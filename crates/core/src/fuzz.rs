@@ -28,8 +28,7 @@
 //!   thread counts and recorder settings (the recorder is always enabled
 //!   internally — coverage *is* the feedback — so [`FuzzOptions::record`]
 //!   only controls whether triage flights are retained);
-//! - memoization is structurally absent: every candidate executes, so a
-//!   memo hit can never masquerade as (or mask) novel coverage;
+//! - every candidate executes: coverage always comes from a real run;
 //! - every find is byte-reproducible from its corpus entry and
 //!   shrinkable by the existing ddmin shrinker ([`crate::shrink`]),
 //!   because mutation is prefix-stable: an operator that edits position
@@ -37,13 +36,14 @@
 
 use crate::classify::CrashClass;
 use crate::exec::LiveStats;
+use crate::executor::{Executor, Lane};
 use crate::flight::{FlightLog, TestFlight, DEFAULT_RING_CAPACITY};
-use crate::metrics::{latency_rows, CampaignMetrics, LocalMetrics, MetricsReport, Phase};
+use crate::metrics::{MetricsReport, Phase};
 use crate::sequence::{
-    draw_weighted, run_one_sequence, shrink_to_minimal, AlphabetEntry, MinimalRepro, SeqBooter,
-    SeqRng, SequenceEval, SequenceVerdict,
+    draw_weighted, run_one_sequence, shrink_to_minimal, AlphabetEntry, MinimalRepro, SeqRng,
+    SequenceEval, SequenceVerdict,
 };
-use crate::testbed::Testbed;
+use crate::testbed::{Booter, Testbed};
 use flightrec::coverage::{CoverageMap, EdgeTrace, ExecCoverage};
 use std::io::Write as _;
 use std::time::{Duration, Instant};
@@ -661,7 +661,6 @@ fn fuzz_live_line(elapsed: Duration, max_execs: u64, last: &RoundStat, fin: bool
 }
 
 struct CandidateOutcome {
-    slot: usize,
     coverage: ExecCoverage,
     finding: Option<PendingFinding>,
 }
@@ -686,24 +685,17 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
 ) -> FuzzResult {
     let started = Instant::now();
     let ctx = testbed.oracle_context(opts.build);
-    let metrics = CampaignMetrics::new(1);
     let mutator = Mutator::new(alphabet, opts.max_steps.max(1));
 
-    let n_threads = crate::exec::resolve_threads(opts.threads, opts.batch.max(1));
-    let mut locals: Vec<LocalMetrics> = (0..n_threads).map(|_| LocalMetrics::new(1)).collect();
-    // Worker boot arenas persist across rounds: booting is the expensive
-    // part, rewinding is the cheap one.
-    let mut booters: Vec<SeqBooter<'_, T>> = locals
-        .iter_mut()
-        .map(|local| SeqBooter::new(testbed, opts.build, true, opts.record, local))
-        .collect();
+    // Coverage is the feedback signal: the recorder is always on,
+    // independent of opts.record. Worker boot arenas persist across
+    // rounds: booting is the expensive part, rewinding is the cheap one.
+    let mut executor = Executor::new(opts.threads, opts.batch.max(1), 1, true);
 
     let mut map = CoverageMap::new();
     let mut corpus: Vec<CorpusEntry> = Vec::new();
     let mut findings: Vec<FuzzFinding> = Vec::new();
     let mut rounds: Vec<RoundStat> = Vec::new();
-    let mut all_flights: Vec<TestFlight> = Vec::new();
-    let mut merged_hist = flightrec::HistogramSet::new(64);
     let mut execs: u64 = 0;
     let mut round = 0usize;
     let mut since_novel = 0usize;
@@ -724,69 +716,40 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
             (0..batch_n).map(|slot| make_candidate(opts, &mutator, &corpus, round, slot)).collect();
 
         let round_base = execs;
-        let chunk = crate::exec::resolve_chunk(0, batch_n, n_threads);
-        let queues = crate::exec::WorkStealQueues::new(batch_n, n_threads);
-        let mut outcomes: Vec<CandidateOutcome> = Vec::with_capacity(batch_n);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = booters
-                .iter_mut()
-                .zip(locals.iter_mut())
-                .enumerate()
-                .map(|(w, (booter, local))| {
-                    let (queues, candidates, ctx) = (&queues, &candidates, &ctx);
-                    scope.spawn(move || {
-                        // Coverage is the feedback signal: the recorder
-                        // is always on, independent of opts.record.
-                        flightrec::enable(DEFAULT_RING_CAPACITY);
-                        let mut trace = EdgeTrace::new();
-                        let mut out: Vec<CandidateOutcome> = Vec::new();
-                        let mut flights: Vec<TestFlight> = Vec::new();
-                        let mut hist = flightrec::HistogramSet::new(64);
-                        while let Some((lo, hi)) = queues.next(w, chunk) {
-                            for (slot, cand) in candidates.iter().enumerate().take(hi).skip(lo) {
-                                out.push(evaluate_candidate(
-                                    testbed,
-                                    ctx,
-                                    opts,
-                                    booter,
-                                    local,
-                                    &mut trace,
-                                    slot,
-                                    round_base + slot as u64 + 1,
-                                    &cand.steps,
-                                    &mut flights,
-                                    &mut hist,
-                                ));
-                            }
-                        }
-                        flightrec::disable();
-                        (out, flights, hist)
+        let outcomes = executor.run(
+            batch_n,
+            0,
+            |lane| {
+                let booter = Booter::new(testbed, opts.build, true, opts.record, &mut lane.local);
+                (booter, EdgeTrace::new())
+            },
+            |(booter, trace), lane, range| {
+                range
+                    .map(|slot| {
+                        let exec_index = round_base + slot as u64 + 1;
+                        let steps = &candidates[slot].steps;
+                        evaluate_candidate(
+                            testbed, &ctx, opts, booter, lane, trace, exec_index, steps,
+                        )
                     })
-                })
-                .collect();
-            for h in handles {
-                let (out, f, h) = h.join().expect("fuzz worker panicked");
-                outcomes.extend(out);
-                all_flights.extend(f);
-                merged_hist.merge(&h);
-            }
-        });
+                    .collect()
+            },
+        );
 
         // Sequential fold, in candidate order: the only place coverage
         // state mutates, so the evolved corpus is schedule-independent.
-        outcomes.sort_unstable_by_key(|o| o.slot);
         let mut round_novel = 0usize;
-        for o in outcomes {
-            let exec_index = round_base + o.slot as u64 + 1;
+        for (slot, o) in outcomes.into_iter().enumerate() {
+            let exec_index = round_base + slot as u64 + 1;
             let novel = map.observe(&o.coverage);
             if novel > 0 {
                 corpus.push(CorpusEntry {
                     id: corpus.len(),
-                    steps: candidates[o.slot].steps.clone(),
+                    steps: candidates[slot].steps.clone(),
                     signature: o.coverage.signature,
                     new_cells: novel,
                     exec_index,
-                    origin: candidates[o.slot].origin,
+                    origin: candidates[slot].origin,
                 });
                 round_novel += 1;
             }
@@ -794,7 +757,7 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
                 findings.push(FuzzFinding {
                     exec_index,
                     round,
-                    steps: candidates[o.slot].steps.clone(),
+                    steps: candidates[slot].steps.clone(),
                     verdict: f.verdict,
                     steps_executed: f.steps_executed,
                     minimal: f.minimal,
@@ -831,17 +794,7 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
         live.write(&fuzz_live_line(started.elapsed(), opts.max_execs, last, true));
     }
 
-    for local in &locals {
-        metrics.merge_local(local);
-    }
-    let flight = opts.record.then(|| {
-        all_flights.sort_by_key(|f| f.index);
-        FlightLog { tests: all_flights }
-    });
-    let mut report = metrics.finish(started.elapsed(), n_threads);
-    if opts.record {
-        report.hc_latency = latency_rows(&merged_hist);
-    }
+    let (metrics, flight) = executor.finish(started, opts.record);
     FuzzResult {
         build: opts.build,
         seed: opts.seed,
@@ -850,7 +803,7 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
         map,
         findings,
         rounds,
-        metrics: report,
+        metrics,
         flight,
         live_stats_error: live.error,
     }
@@ -865,30 +818,23 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
     testbed: &T,
     ctx: &crate::oracle::OracleContext,
     opts: &FuzzOptions,
-    booter: &mut SeqBooter<'_, T>,
-    local: &mut LocalMetrics,
+    booter: &mut Booter<'_, T>,
+    lane: &mut Lane,
     trace: &mut EdgeTrace,
-    slot: usize,
     exec_index: u64,
     steps: &[RawHypercall],
-    flights: &mut Vec<TestFlight>,
-    hist: &mut flightrec::HistogramSet,
 ) -> CandidateOutcome {
     let t0 = Instant::now();
-    let (kernel, guests) = booter.booted(local);
+    let (kernel, guests) = booter.booted(&mut lane.local);
     let _ = flightrec::drain(); // the arena rewind belongs to no candidate
     let t_main = opts.record.then(Instant::now);
     let eval = run_one_sequence(testbed, ctx, kernel, guests, steps, opts.steps_per_slot);
     if let Some(t) = t_main {
-        local.note_phase(Phase::Frames, t.elapsed());
+        lane.local.note_phase(Phase::Frames, t.elapsed());
     }
     let drained = flightrec::drain();
     if opts.record {
-        for e in &drained.events {
-            if e.kind == flightrec::EventKind::HypercallExit {
-                hist.observe(e.code, e.b);
-            }
-        }
+        lane.observe_latencies(&drained.events);
     }
     let coverage = extract_coverage(trace, &drained.events, &eval);
 
@@ -898,7 +844,7 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
         // Authoritative re-judgement at one step per slot, mirroring the
         // sequence campaign: exact attribution, and immune to several
         // calls legitimately sharing one slot budget.
-        let (kernel, guests) = booter.booted(local);
+        let (kernel, guests) = booter.booted(&mut lane.local);
         let refined = run_one_sequence(testbed, ctx, kernel, guests, steps, 1);
         let _ = flightrec::drain();
         class = refined.verdict.classification.class;
@@ -910,14 +856,14 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
                     steps,
                     &refined.verdict,
                     |cand| {
-                        let (kernel, guests) = booter.booted(local);
+                        let (kernel, guests) = booter.booted(&mut lane.local);
                         let v = run_one_sequence(testbed, ctx, kernel, guests, cand, 1).verdict;
                         (v.classification == target).then_some(v)
                     },
                     opts.shrink_budget,
                 );
                 if let Some(t) = t_shrink {
-                    local.note_phase(Phase::Shrink, t.elapsed());
+                    lane.local.note_phase(Phase::Shrink, t.elapsed());
                 }
                 let _ = flightrec::drain(); // shrink evaluations are scaffolding
                 if opts.record {
@@ -931,10 +877,10 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
                         0,
                         0,
                     );
-                    let (kernel, guests) = booter.booted(local);
+                    let (kernel, guests) = booter.booted(&mut lane.local);
                     let _ = run_one_sequence(testbed, ctx, kernel, guests, &minimal.steps, 1);
                     let min_flight = flightrec::drain();
-                    flights.push(TestFlight {
+                    lane.flights.push(TestFlight {
                         index: exec_index as usize,
                         events: min_flight.events,
                         dropped: min_flight.dropped,
@@ -949,8 +895,8 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
             });
         }
     }
-    local.note_outcome(class, t0.elapsed());
-    CandidateOutcome { slot, coverage, finding }
+    lane.local.note_outcome(class, t0.elapsed());
+    CandidateOutcome { coverage, finding }
 }
 
 #[cfg(test)]

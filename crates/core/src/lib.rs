@@ -31,6 +31,7 @@ pub mod check;
 pub mod classify;
 pub mod dictionary;
 pub mod exec;
+mod executor;
 pub mod flight;
 pub mod fuzz;
 pub mod generator;
@@ -68,7 +69,7 @@ pub use issues::{Issue, IssueKey};
 pub use metrics::MetricsReport;
 pub use mutant::MutantSpec;
 pub use observe::{Invocation, TestObservation};
-pub use oracle::{Expectation, OracleCache, OracleContext, PortInfo};
+pub use oracle::{Expectation, OracleContext, PortInfo};
 pub use sequence::{
     generate_sequences, run_one_sequence, run_one_sequence_bounded, run_sequence_campaign,
     AlphabetEntry, MinimalRepro, SequenceCampaignResult, SequenceEval, SequenceOptions,

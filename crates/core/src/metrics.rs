@@ -1,19 +1,17 @@
-//! Campaign observability: per-worker atomic counters aggregated into a
+//! Campaign observability: per-worker counters aggregated into a
 //! [`MetricsReport`], plus an optional JSONL per-test trace sink.
 //!
 //! The counters live outside the determinism surface on purpose: two
 //! campaigns that execute the same spec produce identical records and
 //! identical rendered tables whatever the thread count, while the
-//! metrics capture run-specific facts (wall-clock, throughput, cache
-//! effectiveness) that naturally differ between runs.
+//! metrics capture run-specific facts (wall-clock, throughput, work
+//! stealing) that naturally differ between runs.
 
 use crate::classify::CrashClass;
 use crate::exec::{CampaignResult, TestRecord};
 use flightrec::{LatencyHistogram, TelemetryRegistry};
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Executor phases timed by the self-profiler. Timers run only when the
@@ -25,7 +23,7 @@ pub(crate) enum Phase {
     Rewind = 0,
     /// `step_major_frames`: driving the simulated kernel forward.
     Frames = 1,
-    /// Oracle expectation lookup/computation.
+    /// Oracle expectation computation.
     Oracle = 2,
     /// Delta-debugging shrink of a diverging sequence.
     Shrink = 3,
@@ -49,19 +47,16 @@ impl Phase {
 
 /// Per-worker plain counters — the hot path's contention-free metrics.
 ///
-/// Workers tally into these unsynchronised fields per test and fold them
-/// into the shared [`CampaignMetrics`] exactly once, when the worker
-/// finishes (see [`CampaignMetrics::merge_local`]). No shared atomics are
-/// touched per test, so metrics bookkeeping costs the same at 1 thread
-/// and at 16.
+/// Each worker tallies into its own unsynchronised copy per test; the
+/// executor folds the copies together once every worker has joined (see
+/// [`LocalMetrics::merge`]), so metrics bookkeeping costs the same at 1
+/// thread and at 16.
 #[derive(Debug, Default)]
 pub(crate) struct LocalMetrics {
     tests_executed: u64,
     class_counts: [u64; 6],
     snapshot_clones: u64,
     fresh_boots: u64,
-    memo_hits: u64,
-    memo_misses: u64,
     steals: u64,
     phase: [LatencyHistogram; N_PHASES],
     suite_nanos: Vec<u64>,
@@ -87,16 +82,12 @@ impl LocalMetrics {
         self.snapshot_clones += 1;
     }
 
+    pub(crate) fn snapshot_clones(&self) -> u64 {
+        self.snapshot_clones
+    }
+
     pub(crate) fn note_fresh_boot(&mut self) {
         self.fresh_boots += 1;
-    }
-
-    pub(crate) fn note_memo_hit(&mut self) {
-        self.memo_hits += 1;
-    }
-
-    pub(crate) fn note_memo_miss(&mut self) {
-        self.memo_misses += 1;
     }
 
     pub(crate) fn note_record(&mut self, record: &TestRecord, took: Duration) {
@@ -116,93 +107,40 @@ impl LocalMetrics {
             *s += took.as_nanos() as u64;
         }
     }
-}
 
-/// Shared live counters, updated lock-free by every worker.
-#[derive(Debug)]
-pub(crate) struct CampaignMetrics {
-    tests_executed: AtomicU64,
-    class_counts: [AtomicU64; 6],
-    snapshot_clones: AtomicU64,
-    fresh_boots: AtomicU64,
-    memo_hits: AtomicU64,
-    memo_misses: AtomicU64,
-    oracle_hits: AtomicU64,
-    oracle_misses: AtomicU64,
-    steals: AtomicU64,
-    /// Per-phase self-profile histograms. A mutex, not atomics: it is
-    /// taken once per worker (in [`CampaignMetrics::merge_local`]), never
-    /// on the per-test path.
-    phase: Mutex<[LatencyHistogram; N_PHASES]>,
-    /// Execution nanoseconds accumulated per suite (campaign-order index).
-    suite_nanos: Vec<AtomicU64>,
-}
-
-impl CampaignMetrics {
-    pub(crate) fn new(n_suites: usize) -> Self {
-        CampaignMetrics {
-            tests_executed: AtomicU64::new(0),
-            class_counts: Default::default(),
-            snapshot_clones: AtomicU64::new(0),
-            fresh_boots: AtomicU64::new(0),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
-            oracle_hits: AtomicU64::new(0),
-            oracle_misses: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            phase: Mutex::new([LatencyHistogram::default(); N_PHASES]),
-            suite_nanos: (0..n_suites).map(|_| AtomicU64::new(0)).collect(),
+    /// Adds another worker's counters into these.
+    pub(crate) fn merge(&mut self, other: &LocalMetrics) {
+        self.tests_executed += other.tests_executed;
+        for (mine, v) in self.class_counts.iter_mut().zip(other.class_counts) {
+            *mine += v;
+        }
+        self.snapshot_clones += other.snapshot_clones;
+        self.fresh_boots += other.fresh_boots;
+        self.steals += other.steals;
+        for (mine, h) in self.phase.iter_mut().zip(&other.phase) {
+            mine.merge(h);
+        }
+        for (mine, v) in self.suite_nanos.iter_mut().zip(&other.suite_nanos) {
+            *mine += v;
         }
     }
 
-    pub(crate) fn note_oracle(&self, hits: u64, misses: u64) {
-        self.oracle_hits.fetch_add(hits, Ordering::Relaxed);
-        self.oracle_misses.fetch_add(misses, Ordering::Relaxed);
-    }
-
-    /// Folds a worker's [`LocalMetrics`] into the shared counters — called
-    /// once per worker at shard end, keeping atomics off the per-test path.
-    pub(crate) fn merge_local(&self, local: &LocalMetrics) {
-        self.tests_executed.fetch_add(local.tests_executed, Ordering::Relaxed);
-        for (shared, v) in self.class_counts.iter().zip(local.class_counts) {
-            shared.fetch_add(v, Ordering::Relaxed);
-        }
-        self.snapshot_clones.fetch_add(local.snapshot_clones, Ordering::Relaxed);
-        self.fresh_boots.fetch_add(local.fresh_boots, Ordering::Relaxed);
-        self.memo_hits.fetch_add(local.memo_hits, Ordering::Relaxed);
-        self.memo_misses.fetch_add(local.memo_misses, Ordering::Relaxed);
-        self.steals.fetch_add(local.steals, Ordering::Relaxed);
-        if local.phase.iter().any(|h| h.count > 0) {
-            let mut shared = self.phase.lock().expect("phase profile mutex poisoned");
-            for (s, l) in shared.iter_mut().zip(&local.phase) {
-                s.merge(l);
-            }
-        }
-        for (shared, v) in self.suite_nanos.iter().zip(&local.suite_nanos) {
-            shared.fetch_add(*v, Ordering::Relaxed);
-        }
-    }
-
-    /// Folds the live counters into a plain snapshot.
-    pub(crate) fn finish(&self, wall: Duration, threads: usize) -> MetricsReport {
-        let phase = self.phase.lock().expect("phase profile mutex poisoned");
+    /// The finished run's report (latency rows are filled in by the
+    /// caller when the flight recorder ran).
+    pub(crate) fn report(self, wall: Duration, threads: usize) -> MetricsReport {
         let phases = Phase::ALL
             .iter()
-            .filter(|&&p| phase[p as usize].count > 0)
-            .map(|&p| PhaseRow { name: p.label().to_string(), hist: phase[p as usize] })
+            .filter(|&&p| self.phase[p as usize].count > 0)
+            .map(|&p| PhaseRow { name: p.label().to_string(), hist: self.phase[p as usize] })
             .collect();
         MetricsReport {
-            tests_executed: self.tests_executed.load(Ordering::Relaxed),
-            class_counts: std::array::from_fn(|i| self.class_counts[i].load(Ordering::Relaxed)),
-            snapshot_clones: self.snapshot_clones.load(Ordering::Relaxed),
-            fresh_boots: self.fresh_boots.load(Ordering::Relaxed),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            memo_misses: self.memo_misses.load(Ordering::Relaxed),
-            oracle_hits: self.oracle_hits.load(Ordering::Relaxed),
-            oracle_misses: self.oracle_misses.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
+            tests_executed: self.tests_executed,
+            class_counts: self.class_counts,
+            snapshot_clones: self.snapshot_clones,
+            fresh_boots: self.fresh_boots,
+            steals: self.steals,
             phases,
-            suite_nanos: self.suite_nanos.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
+            suite_nanos: self.suite_nanos,
             wall,
             threads,
             hc_latency: Vec::new(),
@@ -219,19 +157,9 @@ pub struct MetricsReport {
     pub class_counts: [u64; 6],
     /// Tests served from a cloned boot snapshot.
     pub snapshot_clones: u64,
-    /// Tests that required a full fresh boot.
+    /// Full boots: one per worker for its snapshot, or one per test
+    /// when snapshots are off.
     pub fresh_boots: u64,
-    /// Tests served from a per-worker result memo (no execution at all:
-    /// the worker had already run the identical raw invocation).
-    pub memo_hits: u64,
-    /// Tests executed with memoization enabled (first sighting of their
-    /// raw invocation on that worker). Zero when memoization is off.
-    pub memo_misses: u64,
-    /// Oracle expectation cache hits across all workers.
-    pub oracle_hits: u64,
-    /// Oracle expectation cache misses (one per distinct raw invocation
-    /// per worker).
-    pub oracle_misses: u64,
     /// Work-stealing: chunks a worker claimed from another worker's range.
     pub steals: u64,
     /// Executor self-profile: per-phase log2 timing histograms. Empty
@@ -338,22 +266,6 @@ impl MetricsReport {
             "  boots: {} snapshot clones, {} fresh boots\n",
             self.snapshot_clones, self.fresh_boots
         ));
-        let memo_seen = self.memo_hits + self.memo_misses;
-        if memo_seen > 0 {
-            out.push_str(&format!(
-                "  result memo: {} hits / {} tests ({:.1}%)\n",
-                self.memo_hits,
-                memo_seen,
-                100.0 * self.memo_hits as f64 / memo_seen as f64
-            ));
-        }
-        let lookups = self.oracle_hits + self.oracle_misses;
-        let hit_pct =
-            if lookups > 0 { 100.0 * self.oracle_hits as f64 / lookups as f64 } else { 0.0 };
-        out.push_str(&format!(
-            "  oracle cache: {} hits / {} lookups ({hit_pct:.1}%)\n",
-            self.oracle_hits, lookups
-        ));
         if self.steals > 0 {
             out.push_str(&format!("  work stealing: {} chunks stolen\n", self.steals));
         }
@@ -421,10 +333,6 @@ impl MetricsReport {
             &[],
             self.fresh_boots,
         );
-        reg.push_counter("skrt_memo_hits", "Result-memo hits.", &[], self.memo_hits);
-        reg.push_counter("skrt_memo_misses", "Result-memo misses.", &[], self.memo_misses);
-        reg.push_counter("skrt_oracle_hits", "Oracle cache hits.", &[], self.oracle_hits);
-        reg.push_counter("skrt_oracle_misses", "Oracle cache misses.", &[], self.oracle_misses);
         reg.push_counter("skrt_steals", "Work-stealing chunk claims.", &[], self.steals);
         reg.push_gauge("skrt_threads", "Worker threads used.", &[], self.threads as f64);
         reg.push_gauge(
@@ -516,9 +424,7 @@ pub fn write_trace(path: &Path, result: &CampaignResult) -> std::io::Result<()> 
         w,
         concat!(
             "{{\"type\":\"metrics\",\"tests\":{},\"wall_ns\":{},\"tests_per_sec\":{:.1},",
-            "\"threads\":{},\"snapshot_clones\":{},\"fresh_boots\":{},",
-            "\"memo_hits\":{},\"memo_misses\":{},",
-            "\"oracle_hits\":{},\"oracle_misses\":{}}}"
+            "\"threads\":{},\"snapshot_clones\":{},\"fresh_boots\":{}}}"
         ),
         m.tests_executed,
         m.wall.as_nanos(),
@@ -526,10 +432,6 @@ pub fn write_trace(path: &Path, result: &CampaignResult) -> std::io::Result<()> 
         m.threads,
         m.snapshot_clones,
         m.fresh_boots,
-        m.memo_hits,
-        m.memo_misses,
-        m.oracle_hits,
-        m.oracle_misses,
     )?;
     w.flush()
 }
@@ -543,8 +445,8 @@ mod tests {
         let mut r = MetricsReport {
             tests_executed: 100,
             wall: Duration::from_secs(2),
-            oracle_hits: 75,
-            oracle_misses: 25,
+            snapshot_clones: 100,
+            fresh_boots: 2,
             ..Default::default()
         };
         r.class_counts[CrashClass::Pass.index()] = 90;
@@ -554,7 +456,7 @@ mod tests {
         assert_eq!(r.count(CrashClass::Silent), 10);
         let text = r.render();
         assert!(text.contains("100 tests"), "{text}");
-        assert!(text.contains("75 hits / 100 lookups (75.0%)"), "{text}");
+        assert!(text.contains("100 snapshot clones, 2 fresh boots"), "{text}");
         assert!(text.contains("Pass 90, Silent 10"), "{text}");
     }
 
@@ -563,7 +465,6 @@ mod tests {
         let mut r = MetricsReport {
             tests_executed: 10,
             wall: Duration::from_secs(1),
-            memo_hits: 3,
             steals: 2,
             threads: 4,
             ..Default::default()
@@ -584,10 +485,6 @@ mod tests {
             "skrt_verdicts",
             "skrt_snapshot_clones",
             "skrt_fresh_boots",
-            "skrt_memo_hits",
-            "skrt_memo_misses",
-            "skrt_oracle_hits",
-            "skrt_oracle_misses",
             "skrt_steals",
             "skrt_threads",
             "skrt_wall_seconds",

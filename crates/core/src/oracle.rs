@@ -871,52 +871,6 @@ pub enum ParamClass {
     Value(u64),
 }
 
-/// A memoising wrapper around [`OracleContext::expect`].
-///
-/// Campaign datasets repeat the same magic values across suites (the
-/// dictionary draws every parameter from a small pool), so the same raw
-/// invocation is evaluated many times per campaign. The oracle is pure —
-/// its prediction depends only on the raw hypercall and the fixed
-/// testbed/build context — so each worker keeps one cache for the whole
-/// campaign.
-pub struct OracleCache<'a> {
-    ctx: &'a OracleContext,
-    map: std::collections::HashMap<RawHypercall, Expectation>,
-    hits: u64,
-    misses: u64,
-}
-
-impl<'a> OracleCache<'a> {
-    /// An empty cache over `ctx`.
-    pub fn new(ctx: &'a OracleContext) -> Self {
-        OracleCache { ctx, map: std::collections::HashMap::new(), hits: 0, misses: 0 }
-    }
-
-    /// The cached prediction for `hc`, computing and storing it on first
-    /// sight.
-    pub fn expect(&mut self, hc: &RawHypercall) -> Expectation {
-        if let Some(e) = self.map.get(hc) {
-            self.hits += 1;
-            return *e;
-        }
-        self.misses += 1;
-        let e = self.ctx.expect(hc);
-        self.map.insert(*hc, e);
-        e
-    }
-
-    /// The underlying context (for non-memoised helpers such as
-    /// [`OracleContext::param_signature`]).
-    pub fn context(&self) -> &'a OracleContext {
-        self.ctx
-    }
-
-    /// `(hits, misses)` counters since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,13 +24,13 @@
 //! once more under the flight recorder to yield a triage bundle.
 
 use crate::classify::{Cause, Classification, CrashClass};
-use crate::flight::{FlightLog, TestFlight, DEFAULT_RING_CAPACITY};
-use crate::metrics::{latency_rows, CampaignMetrics, LocalMetrics, MetricsReport, Phase};
+use crate::executor::{Executor, Lane};
+use crate::flight::FlightLog;
+use crate::metrics::{MetricsReport, Phase};
 use crate::observe::Invocation;
 use crate::oracle::{Expectation, ExpectedOutcome, NoReturnExpect, OracleContext};
 use crate::shrink::shrink_sequence;
-use crate::testbed::{BootSnapshot, Testbed, Workspace};
-use std::collections::{HashMap, HashSet};
+use crate::testbed::{Booter, Testbed};
 use std::time::Instant;
 use xtratum::guest::{GuestProgram, GuestSet, PartitionApi};
 use xtratum::hm::HmEventKind;
@@ -933,13 +933,6 @@ pub struct SequenceOptions {
     pub chunk_size: usize,
     /// Boot once per worker and clone per evaluation (default).
     pub reuse_snapshot: bool,
-    /// Memoize repeated sequences per worker (default on).
-    pub memoize: bool,
-    /// Coverage feedback is being collected from the executions: forces
-    /// memoization off regardless of `memoize`, because a memo hit
-    /// replays a cached verdict without executing anything — its flight
-    /// stream is empty and must never look coverage-novel.
-    pub coverage_feedback: bool,
     /// Run the flight recorder; failing sequences keep the minimal
     /// reproducer's flight as the triage trace.
     pub record: bool,
@@ -960,8 +953,6 @@ impl Default for SequenceOptions {
             threads: 0,
             chunk_size: 0,
             reuse_snapshot: true,
-            memoize: true,
-            coverage_feedback: false,
             record: false,
             steps_per_slot: 4,
             shrink: true,
@@ -1067,134 +1058,27 @@ impl SequenceCampaignResult {
     }
 }
 
-/// Memoized per-worker outcome of one exact step list.
-struct SeqMemoEntry {
-    verdict: SequenceVerdict,
-    steps_executed: usize,
-    outcomes: Vec<StepOutcome>,
-    minimal: Option<MinimalRepro>,
-}
-
-impl SeqMemoEntry {
-    fn to_record(&self, spec: &SequenceSpec) -> SequenceRecord {
-        SequenceRecord {
-            spec: spec.clone(),
-            verdict: self.verdict.clone(),
-            steps_executed: self.steps_executed,
-            outcomes: self.outcomes.clone(),
-            minimal: self.minimal.clone(),
-        }
-    }
-}
-
-/// A worker's source of booted `(kernel, guests)` pairs. With a snapshot
-/// it holds one persistent [`Workspace`] rewound before every evaluation
-/// (the flat-arena fast path — no per-evaluation deep copy); without one
-/// it fresh-boots into a scratch slot.
-pub(crate) struct SeqBooter<'t, T: ?Sized> {
-    testbed: &'t T,
-    build: KernelBuild,
-    arena: Option<(BootSnapshot, Workspace)>,
-    scratch: Option<(XmKernel, GuestSet)>,
-    /// Time arena rewinds into the self-profile (observability runs only).
-    profile: bool,
-}
-
-impl<'t, T: Testbed + ?Sized> SeqBooter<'t, T> {
-    pub(crate) fn new(
-        testbed: &'t T,
-        build: KernelBuild,
-        reuse: bool,
-        profile: bool,
-        local: &mut LocalMetrics,
-    ) -> Self {
-        let arena = if reuse {
-            local.note_fresh_boot();
-            testbed.snapshot(build).map(|s| {
-                let ws = s.workspace();
-                (s, ws)
-            })
-        } else {
-            None
-        };
-        SeqBooter { testbed, build, arena, scratch: None, profile }
-    }
-
-    /// A booted pair rewound to (or freshly booted at) the boot state.
-    /// The test partition's guest is skipped on restore: every caller
-    /// evaluates a sequence next, and the evaluation resets the
-    /// [`SequenceGuest`] left there in place.
-    pub(crate) fn booted(&mut self, local: &mut LocalMetrics) -> (&mut XmKernel, &mut GuestSet) {
-        let skip = self.testbed.test_partition();
-        match &mut self.arena {
-            Some((snap, ws)) => {
-                local.note_snapshot_clone();
-                flightrec::record_timeless(
-                    flightrec::EventKind::SnapshotClone,
-                    flightrec::NO_PARTITION,
-                    0,
-                    0,
-                    0,
-                );
-                if self.profile {
-                    let t = Instant::now();
-                    ws.restore(snap, Some(skip));
-                    local.note_phase(Phase::Rewind, t.elapsed());
-                } else {
-                    ws.restore(snap, Some(skip));
-                }
-                ws.parts()
-            }
-            None => {
-                local.note_fresh_boot();
-                let pair = self.scratch.insert(self.testbed.boot(self.build));
-                (&mut pair.0, &mut pair.1)
-            }
-        }
-    }
-}
-
-/// Stamps `TestEnd`, drains the worker ring into a per-sequence flight
-/// and folds hypercall costs into the latency histograms.
-fn end_seq_flight(
-    index: usize,
-    class: CrashClass,
-    flights: &mut Vec<TestFlight>,
-    hist: &mut flightrec::HistogramSet,
-) {
-    flightrec::record_timeless(
-        flightrec::EventKind::TestEnd,
-        flightrec::NO_PARTITION,
-        class.index() as u32,
-        0,
-        0,
-    );
-    let drained = flightrec::drain();
-    for e in &drained.events {
-        if e.kind == flightrec::EventKind::HypercallExit {
-            hist.observe(e.code, e.b);
-        }
-    }
-    flights.push(TestFlight { index, events: drained.events, dropped: drained.dropped });
-}
-
 /// Evaluates one spec end-to-end on a worker: main evaluation, one-step
 /// refinement on divergence, and shrink. Recording state (when enabled)
 /// is managed so only the per-spec triage window survives: the whole main
 /// evaluation for passing sequences, and for diverging ones a run of the
 /// minimal reproducer made only for its flight.
-#[allow(clippy::too_many_arguments)]
 fn evaluate_spec<T: Testbed + ?Sized>(
     testbed: &T,
     ctx: &OracleContext,
     opts: &SequenceOptions,
-    booter: &mut SeqBooter<'_, T>,
-    local: &mut LocalMetrics,
+    booter: &mut Booter<'_, T>,
+    lane: &mut Lane,
     spec: &SequenceSpec,
-    flights: &mut Vec<TestFlight>,
-    hist: &mut flightrec::HistogramSet,
-) -> SeqMemoEntry {
-    if opts.record {
+) -> SequenceRecord {
+    let record = |eval: SequenceEval, minimal| SequenceRecord {
+        spec: spec.clone(),
+        verdict: eval.verdict,
+        steps_executed: eval.steps_executed,
+        outcomes: eval.outcomes,
+        minimal,
+    };
+    let begin_flight = || {
         flightrec::record(
             0,
             flightrec::EventKind::TestBegin,
@@ -1202,24 +1086,22 @@ fn evaluate_spec<T: Testbed + ?Sized>(
             spec.index as u32,
             0,
             0,
-        );
+        )
+    };
+    if opts.record {
+        begin_flight();
     }
-    let (kernel, guests) = booter.booted(local);
+    let (kernel, guests) = booter.booted(&mut lane.local);
     let t_main = opts.record.then(Instant::now);
     let main = run_one_sequence(testbed, ctx, kernel, guests, &spec.steps, opts.steps_per_slot);
     if let Some(t) = t_main {
-        local.note_phase(Phase::Frames, t.elapsed());
+        lane.local.note_phase(Phase::Frames, t.elapsed());
     }
     if main.verdict.classification.class == CrashClass::Pass {
         if opts.record {
-            end_seq_flight(spec.index, CrashClass::Pass, flights, hist);
+            lane.end_flight(spec.index, CrashClass::Pass);
         }
-        return SeqMemoEntry {
-            verdict: main.verdict,
-            steps_executed: main.steps_executed,
-            outcomes: main.outcomes,
-            minimal: None,
-        };
+        return record(main, None);
     }
     if opts.record {
         // The coarse first pass is not the triage artefact; discard it.
@@ -1229,33 +1111,22 @@ fn evaluate_spec<T: Testbed + ?Sized>(
     // Refine at one step per slot: exact step attribution, and immune to
     // several calls legitimately sharing one slot budget. This refined
     // verdict is authoritative, even when it downgrades to Pass.
-    let (kernel, guests) = booter.booted(local);
+    let (kernel, guests) = booter.booted(&mut lane.local);
     let t_refine = opts.record.then(Instant::now);
     let refined = run_one_sequence(testbed, ctx, kernel, guests, &spec.steps, 1);
     if let Some(t) = t_refine {
-        local.note_phase(Phase::Frames, t.elapsed());
+        lane.local.note_phase(Phase::Frames, t.elapsed());
     }
-    if refined.verdict.classification.class == CrashClass::Pass || !opts.shrink {
+    let class = refined.verdict.classification.class;
+    if class == CrashClass::Pass || !opts.shrink {
         if opts.record {
             let _ = flightrec::drain();
-            flightrec::record(
-                0,
-                flightrec::EventKind::TestBegin,
-                flightrec::NO_PARTITION,
-                spec.index as u32,
-                0,
-                0,
-            );
-            let (kernel, guests) = booter.booted(local);
+            begin_flight();
+            let (kernel, guests) = booter.booted(&mut lane.local);
             let _ = run_one_sequence(testbed, ctx, kernel, guests, &spec.steps, 1);
-            end_seq_flight(spec.index, refined.verdict.classification.class, flights, hist);
+            lane.end_flight(spec.index, class);
         }
-        return SeqMemoEntry {
-            verdict: refined.verdict,
-            steps_executed: refined.steps_executed,
-            outcomes: refined.outcomes,
-            minimal: None,
-        };
+        return record(refined, None);
     }
 
     // Minimize: a candidate reproduces iff it yields the same
@@ -1266,54 +1137,31 @@ fn evaluate_spec<T: Testbed + ?Sized>(
         &spec.steps,
         &refined.verdict,
         |cand| {
-            let (kernel, guests) = booter.booted(local);
+            let (kernel, guests) = booter.booted(&mut lane.local);
             let v = run_one_sequence(testbed, ctx, kernel, guests, cand, 1).verdict;
             (v.classification == target).then_some(v)
         },
         opts.shrink_budget,
     );
     if let Some(t) = t_shrink {
-        local.note_phase(Phase::Shrink, t.elapsed());
+        lane.local.note_phase(Phase::Shrink, t.elapsed());
     }
     if opts.record {
         // Shrink evaluations are scaffolding; only the minimal
         // reproducer's run below is kept as the triage flight.
         let _ = flightrec::drain();
-        flightrec::record(
-            0,
-            flightrec::EventKind::TestBegin,
-            flightrec::NO_PARTITION,
-            spec.index as u32,
-            0,
-            0,
-        );
-        let (kernel, guests) = booter.booted(local);
+        begin_flight();
+        let (kernel, guests) = booter.booted(&mut lane.local);
         let _ = run_one_sequence(testbed, ctx, kernel, guests, &minimal.steps, 1);
-        end_seq_flight(spec.index, refined.verdict.classification.class, flights, hist);
+        lane.end_flight(spec.index, class);
     }
-    SeqMemoEntry {
-        verdict: refined.verdict,
-        steps_executed: refined.steps_executed,
-        outcomes: refined.outcomes,
-        minimal: Some(minimal),
-    }
-}
-
-/// Step lists appearing more than once in the campaign — the only keys
-/// worth memoizing (mirrors the single-call executor's prepass).
-fn repeated_step_lists(specs: &[SequenceSpec]) -> HashSet<Vec<RawHypercall>> {
-    let mut seen: HashMap<&[RawHypercall], bool> = HashMap::with_capacity(specs.len());
-    for spec in specs {
-        seen.entry(&spec.steps).and_modify(|dup| *dup = true).or_insert(false);
-    }
-    seen.into_iter().filter(|&(_, dup)| dup).map(|(k, _)| k.to_vec()).collect()
+    record(refined, Some(minimal))
 }
 
 /// Executes a whole sequence campaign, in parallel, preserving campaign
-/// order in the result. Mirrors [`crate::exec::run_campaign`]: one
-/// work-stealing range per worker, one boot snapshot + persistent
-/// workspace per worker, per-worker memoization and metrics, lock-free
-/// hot path.
+/// order in the result: one unit per spec on the shared
+/// `executor::Executor`, one boot snapshot and persistent
+/// workspace per worker.
 pub fn run_sequence_campaign<T: Testbed + ?Sized>(
     testbed: &T,
     specs: &[SequenceSpec],
@@ -1321,135 +1169,26 @@ pub fn run_sequence_campaign<T: Testbed + ?Sized>(
 ) -> SequenceCampaignResult {
     let started = Instant::now();
     let ctx = testbed.oracle_context(opts.build);
-    let metrics = CampaignMetrics::new(1);
-
-    let n_threads = crate::exec::resolve_threads(opts.threads, specs.len());
-    let chunk = crate::exec::resolve_chunk(opts.chunk_size, specs.len(), n_threads);
-    let queues = crate::exec::WorkStealQueues::new(specs.len(), n_threads);
-    // Under coverage feedback a memo hit would replay a cached verdict
-    // with an empty flight stream — never memoize there.
-    let memoize = opts.memoize && !opts.coverage_feedback;
-    let memoizable = if memoize { repeated_step_lists(specs) } else { HashSet::new() };
-
-    let mut runs: Vec<(usize, Vec<SequenceRecord>)> = Vec::new();
-    let mut all_flights: Vec<TestFlight> = Vec::new();
-    let mut merged_hist = flightrec::HistogramSet::new(64);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|w| {
-                let (queues, metrics, ctx, memoizable) = (&queues, &metrics, &ctx, &memoizable);
-                scope.spawn(move || {
-                    if opts.record {
-                        flightrec::enable(DEFAULT_RING_CAPACITY);
-                    }
-                    let mut local = LocalMetrics::new(1);
-                    let mut booter = SeqBooter::new(
-                        testbed,
-                        opts.build,
-                        opts.reuse_snapshot,
-                        opts.record,
-                        &mut local,
-                    );
-                    if opts.record {
-                        // The per-worker snapshot boot belongs to no sequence.
-                        let _ = flightrec::drain();
-                    }
-                    let mut memo: HashMap<Vec<RawHypercall>, SeqMemoEntry> = HashMap::new();
-                    let mut done: Vec<(usize, Vec<SequenceRecord>)> = Vec::new();
-                    let mut flights: Vec<TestFlight> = Vec::new();
-                    let mut hist = flightrec::HistogramSet::new(64);
-                    while let Some((lo, hi, stolen)) = queues.next_with_origin(w, chunk) {
-                        if stolen {
-                            local.note_steal();
-                        }
-                        let mut records = Vec::with_capacity(hi - lo);
-                        for spec in &specs[lo..hi] {
-                            let t0 = Instant::now();
-                            if let Some(entry) = memo.get(&spec.steps) {
-                                local.note_memo_hit();
-                                let rec = entry.to_record(spec);
-                                local.note_outcome(rec.verdict.classification.class, t0.elapsed());
-                                if opts.record {
-                                    flightrec::record(
-                                        0,
-                                        flightrec::EventKind::TestBegin,
-                                        flightrec::NO_PARTITION,
-                                        spec.index as u32,
-                                        0,
-                                        0,
-                                    );
-                                    flightrec::record_timeless(
-                                        flightrec::EventKind::MemoHit,
-                                        flightrec::NO_PARTITION,
-                                        0,
-                                        0,
-                                        0,
-                                    );
-                                    end_seq_flight(
-                                        spec.index,
-                                        rec.verdict.classification.class,
-                                        &mut flights,
-                                        &mut hist,
-                                    );
-                                }
-                                records.push(rec);
-                                continue;
-                            }
-                            if memoize {
-                                local.note_memo_miss();
-                            }
-                            let entry = evaluate_spec(
-                                testbed,
-                                ctx,
-                                opts,
-                                &mut booter,
-                                &mut local,
-                                spec,
-                                &mut flights,
-                                &mut hist,
-                            );
-                            let rec = entry.to_record(spec);
-                            if memoizable.contains(&spec.steps) {
-                                memo.insert(spec.steps.clone(), entry);
-                            }
-                            local.note_outcome(rec.verdict.classification.class, t0.elapsed());
-                            records.push(rec);
-                        }
-                        done.push((lo, records));
-                    }
-                    metrics.merge_local(&local);
-                    (done, flights, hist)
+    let mut executor = Executor::new(opts.threads, specs.len(), 1, opts.record);
+    let records = executor.run(
+        specs.len(),
+        opts.chunk_size,
+        |lane| Booter::new(testbed, opts.build, opts.reuse_snapshot, opts.record, &mut lane.local),
+        |booter, lane, range| {
+            specs[range]
+                .iter()
+                .map(|spec| {
+                    let t0 = Instant::now();
+                    let rec = evaluate_spec(testbed, &ctx, opts, booter, lane, spec);
+                    lane.local.note_outcome(rec.verdict.classification.class, t0.elapsed());
+                    rec
                 })
-            })
-            .collect();
-        for h in handles {
-            let (done, f, h) = h.join().expect("sequence campaign worker panicked");
-            runs.extend(done);
-            all_flights.extend(f);
-            merged_hist.merge(&h);
-        }
-    });
-
-    runs.sort_unstable_by_key(|&(start, _)| start);
-    let records: Vec<SequenceRecord> = runs.into_iter().flat_map(|(_, r)| r).collect();
-    debug_assert_eq!(records.len(), specs.len());
-
-    let flight = opts.record.then(|| {
-        all_flights.sort_by_key(|f| f.index);
-        FlightLog { tests: all_flights }
-    });
-    let mut report = metrics.finish(started.elapsed(), n_threads);
-    if opts.record {
-        report.hc_latency = latency_rows(&merged_hist);
-    }
+                .collect()
+        },
+    );
+    let (metrics, flight) = executor.finish(started, opts.record);
     let steps_per_sequence = specs.first().map(|s| s.steps.len()).unwrap_or(0);
-    SequenceCampaignResult {
-        build: opts.build,
-        steps_per_sequence,
-        records,
-        metrics: report,
-        flight,
-    }
+    SequenceCampaignResult { build: opts.build, steps_per_sequence, records, metrics, flight }
 }
 
 #[cfg(test)]
@@ -1820,8 +1559,6 @@ mod tests {
         assert_eq!(o.threads, 0);
         assert_eq!(o.steps_per_slot, 4);
         assert!(o.reuse_snapshot);
-        assert!(o.memoize);
-        assert!(!o.coverage_feedback);
         assert!(!o.record);
         assert!(o.shrink);
         assert_eq!(o.shrink_budget, 160);

@@ -7,7 +7,9 @@
 //! reference oracle needs to know about the configuration. The `eagleeye`
 //! crate provides the paper's instance (the EagleEye TSP spacecraft).
 
+use crate::metrics::{LocalMetrics, Phase};
 use crate::oracle::OracleContext;
+use std::time::Instant;
 use xtratum::guest::{GuestSet, PartitionApi};
 use xtratum::kernel::XmKernel;
 use xtratum::vuln::KernelBuild;
@@ -133,4 +135,71 @@ pub trait Testbed: Sync {
     /// Everything the reference oracle needs to predict outcomes on this
     /// testbed.
     fn oracle_context(&self, build: KernelBuild) -> OracleContext;
+}
+
+/// A worker's source of booted `(kernel, guests)` pairs. With a snapshot
+/// it holds one persistent [`Workspace`] rewound before every run (the
+/// flat-arena fast path — no per-run deep copy); without one it
+/// fresh-boots into a scratch slot.
+pub(crate) struct Booter<'t, T: ?Sized> {
+    testbed: &'t T,
+    build: KernelBuild,
+    arena: Option<(BootSnapshot, Workspace)>,
+    scratch: Option<(XmKernel, GuestSet)>,
+    /// Time arena rewinds into the self-profile (observability runs only).
+    profile: bool,
+}
+
+impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
+    /// Boots the snapshot when `reuse` is set (counted as one fresh boot).
+    pub(crate) fn new(
+        testbed: &'t T,
+        build: KernelBuild,
+        reuse: bool,
+        profile: bool,
+        local: &mut LocalMetrics,
+    ) -> Self {
+        let arena = if reuse {
+            local.note_fresh_boot();
+            testbed.snapshot(build).map(|s| {
+                let ws = s.workspace();
+                (s, ws)
+            })
+        } else {
+            None
+        };
+        Booter { testbed, build, arena, scratch: None, profile }
+    }
+
+    /// A booted pair rewound to (or freshly booted at) the boot state.
+    /// The test partition's guest is skipped on restore: every caller
+    /// installs or resets that partition's guest next.
+    pub(crate) fn booted(&mut self, local: &mut LocalMetrics) -> (&mut XmKernel, &mut GuestSet) {
+        let skip = self.testbed.test_partition();
+        match &mut self.arena {
+            Some((snap, ws)) => {
+                local.note_snapshot_clone();
+                flightrec::record_timeless(
+                    flightrec::EventKind::SnapshotClone,
+                    flightrec::NO_PARTITION,
+                    0,
+                    0,
+                    0,
+                );
+                if self.profile {
+                    let t = Instant::now();
+                    ws.restore(snap, Some(skip));
+                    local.note_phase(Phase::Rewind, t.elapsed());
+                } else {
+                    ws.restore(snap, Some(skip));
+                }
+                ws.parts()
+            }
+            None => {
+                local.note_fresh_boot();
+                let pair = self.scratch.insert(self.testbed.boot(self.build));
+                (&mut pair.0, &mut pair.1)
+            }
+        }
+    }
 }

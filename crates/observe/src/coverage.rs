@@ -11,10 +11,10 @@
 //!
 //! Only *behavioural* events feed coverage. Executor bookkeeping
 //! ([`EventKind::TestBegin`], [`EventKind::TestEnd`],
-//! [`EventKind::SnapshotClone`], [`EventKind::MemoHit`]) and raw machine
-//! noise ([`EventKind::TimerExpiry`], [`EventKind::IrqRaised`]) are
-//! excluded, so a memoized replay — which records executor events but
-//! executes nothing — can never register novel coverage.
+//! [`EventKind::SnapshotClone`]) and raw machine noise
+//! ([`EventKind::TimerExpiry`], [`EventKind::IrqRaised`]) are excluded,
+//! so coverage is a function of what the kernel did, not of how the
+//! executor scheduled it.
 
 use crate::{Event, EventKind};
 
@@ -68,13 +68,11 @@ pub fn event_token(e: &Event) -> Option<u64> {
         EventKind::SimCrashed => 8,
         EventKind::UartPanic => 9,
         EventKind::Ops => 10,
-        // Executor bookkeeping and raw machine noise: excluded. Memo
-        // hits in particular must not look coverage-novel, and timer /
+        // Executor bookkeeping and raw machine noise: excluded. Timer /
         // IRQ storms would otherwise drown the semantic stream.
         EventKind::TestBegin
         | EventKind::TestEnd
         | EventKind::SnapshotClone
-        | EventKind::MemoHit
         | EventKind::TimerExpiry
         | EventKind::IrqRaised => return None,
         // Isolation-audit tokens introduced for the small-scope checker:
@@ -283,7 +281,6 @@ mod tests {
             EventKind::TestBegin,
             EventKind::TestEnd,
             EventKind::SnapshotClone,
-            EventKind::MemoHit,
             EventKind::TimerExpiry,
             EventKind::IrqRaised,
         ] {
@@ -412,7 +409,7 @@ mod tests {
         let mut t = EdgeTrace::new();
         t.begin();
         t.observe_event(&ev(EventKind::HypercallEnter, 1, 0));
-        t.observe_event(&ev(EventKind::MemoHit, 0, 0)); // inert
+        t.observe_event(&ev(EventKind::SnapshotClone, 0, 0)); // inert
         t.observe_event(&ev(EventKind::HypercallExit, 1, crate::encode_return(0)));
         t.observe_event(&Event {
             t_us: 3,

@@ -67,8 +67,6 @@ pub enum EventKind {
     TestEnd,
     /// Executor: the boot snapshot was cloned for this test. Timeless.
     SnapshotClone,
-    /// Executor: the result memo served this test. Timeless.
-    MemoHit,
     /// XtratuM: a virtual-timer expiry was delivered (the owning
     /// partition's timer VIRQ was set). `code` = 0 HW-clock vtimer /
     /// 1 exec-clock timer, `a` = expirations delivered. The isolation
@@ -101,7 +99,6 @@ impl EventKind {
             EventKind::TestBegin => "test_begin",
             EventKind::TestEnd => "test_end",
             EventKind::SnapshotClone => "snapshot_clone",
-            EventKind::MemoHit => "memo_hit",
             EventKind::VtimerExpiry => "vtimer_expiry",
             EventKind::PortCreated => "port_created",
         }

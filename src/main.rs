@@ -2,7 +2,7 @@
 //! toolset.
 //!
 //! ```text
-//! skrt-repro campaign [--build legacy|patched] [--threads N] [--trace FILE] [--record FILE] [--no-snapshot] [--no-memo]
+//! skrt-repro campaign [--build legacy|patched] [--threads N] [--trace FILE] [--record FILE] [--no-snapshot]
 //! skrt-repro campaign sweep [--tests N] [--build ...]         full cartesian invocation space
 //! skrt-repro campaign sequences [--seed N] [--count N] [--steps N] [--build ...]
 //! skrt-repro campaign fuzz [--seed N] [--execs N] [--time SECS] [--corpus-dir DIR] [--build ...]
@@ -33,7 +33,7 @@ use xtratum::vuln::KernelBuild;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
+    let result = match args.first().map(String::as_str) {
         Some("campaign") => cmd_campaign(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("suite") => cmd_suite(&args[1..]),
@@ -44,14 +44,17 @@ fn main() {
         Some("tables") => cmd_tables(),
         Some("--help" | "-h" | "help") | None => {
             print!("{}", usage());
-            0
+            Ok(0)
         }
         Some(other) => {
             eprintln!("unknown command '{other}'\n{}", usage());
-            2
+            Ok(2)
         }
     };
-    std::process::exit(code);
+    std::process::exit(result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        2
+    }));
 }
 
 fn usage() -> &'static str {
@@ -59,31 +62,33 @@ fn usage() -> &'static str {
      \n\
      USAGE:\n\
      \x20 skrt-repro campaign [--build legacy|patched] [--threads N] [--chunk N]\n\
-     \x20                     [--trace FILE] [--record FILE] [--no-snapshot] [--no-memo]\n\
-     \x20                     [--metrics] [--metrics-out FILE]\n\
+     \x20                     [--trace FILE] [--record FILE] [--no-snapshot]\n\
+     \x20                     [--format text|md] [--csv FILE] [--metrics] [--metrics-out FILE]\n\
      \x20                     [--live-stats FILE [--live-interval SECS]]\n\
      \x20     Run the full 2662-test Table III campaign on the EagleEye testbed.\n\
      \x20     --trace writes a JSONL per-test trace; --record runs the kernel\n\
      \x20     flight recorder and writes a Perfetto/Chrome trace.json (open at\n\
      \x20     https://ui.perfetto.dev); --no-snapshot forces the seed-style fresh\n\
-     \x20     boot per test; --no-memo re-executes duplicate raw invocations\n\
-     \x20     instead of reusing the per-worker memoized result; --metrics prints\n\
+     \x20     boot per test; --format md renders Table III and the issues as\n\
+     \x20     markdown; --csv writes the per-test records; --metrics prints\n\
      \x20     run counters (with per-hypercall latency and executor phase timers\n\
      \x20     when recording); --metrics-out exports the telemetry registry\n\
      \x20     (OpenMetrics text for .prom paths, JSONL otherwise); --live-stats\n\
      \x20     streams heartbeat JSONL (throughput, ETA, verdicts) while running.\n\
-     \x20     Results are byte-identical with telemetry on or off.\n\
+     \x20     Results are byte-identical with telemetry on or off. Every\n\
+     \x20     command rejects an unknown flag or a malformed number (exit 2).\n\
      \x20 skrt-repro campaign sweep [--tests N] [--build legacy|patched] [--threads N]\n\
      \x20                     [--chunk N] [--trace FILE] [--record FILE] [--no-snapshot]\n\
-     \x20                     [--no-memo] [--metrics]\n\
+     \x20                     [--metrics] [--metrics-out FILE]\n\
+     \x20                     [--live-stats FILE [--live-interval SECS]]\n\
      \x20     Run the full cartesian invocation space: every hypercall in the API\n\
      \x20     header crossed with its complete dictionary product (61 suites,\n\
      \x20     4976 tests) instead of the sampled 2662. --tests N scales the run:\n\
      \x20     truncates below 4976, cycles the case list deterministically above\n\
-     \x20     it (e.g. --tests 1000000 for a soak run).\n\
+     \x20     it (e.g. --tests 1000000 for a soak run; at most 4294967295).\n\
      \x20 skrt-repro campaign sequences [--seed N] [--count N] [--steps N]\n\
      \x20                     [--build legacy|patched] [--threads N] [--chunk N]\n\
-     \x20                     [--record FILE] [--no-snapshot] [--no-memo] [--no-shrink]\n\
+     \x20                     [--record FILE] [--no-snapshot] [--no-shrink]\n\
      \x20                     [--metrics] [--metrics-out FILE]\n\
      \x20     Run a stateful sequence campaign: seeded multi-hypercall sequences\n\
      \x20     judged step-by-step by the differential state oracle; failures are\n\
@@ -147,31 +152,65 @@ fn usage() -> &'static str {
      \x20     Print Table I (data types) and Table II (test-value example).\n"
 }
 
-fn parse_build(args: &[String]) -> Result<KernelBuild, String> {
-    match flag_value(args, "--build").as_deref() {
-        None | Some("legacy") => Ok(KernelBuild::Legacy),
-        Some("patched") => Ok(KernelBuild::Patched),
-        Some(other) => Err(format!("unknown build '{other}' (use legacy|patched)")),
+/// A command's flags, checked against the flags it accepts: `--name
+/// value` options and bare switches. Anything else is an error, so a
+/// misspelt or removed flag never silently falls back to a default.
+struct Flags<'a> {
+    parsed: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Flags<'a> {
+    fn parse(args: &'a [String], options: &[&str], switches: &[&str]) -> Result<Self, String> {
+        let mut parsed = Vec::new();
+        let mut it = args.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            if options.contains(&arg) {
+                let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                parsed.push((arg, Some(value)));
+            } else if switches.contains(&arg) {
+                parsed.push((arg, None));
+            } else {
+                return Err(format!("unknown flag '{arg}' (see `skrt-repro help`)"));
+            }
+        }
+        Ok(Flags { parsed })
     }
-}
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.parsed.iter().find(|(f, _)| *f == flag).and_then(|&(_, v)| v)
+    }
 
-/// `--live-stats FILE [--live-interval SECS]` (default 1 s).
-fn parse_live_stats(args: &[String]) -> Result<Option<skrt::LiveStats>, String> {
-    let Some(path) = flag_value(args, "--live-stats") else {
-        return Ok(None);
-    };
-    let interval = match flag_value(args, "--live-interval") {
-        Some(s) => match s.parse::<f64>() {
-            Ok(v) if v > 0.0 => std::time::Duration::from_secs_f64(v),
+    fn has(&self, flag: &str) -> bool {
+        self.parsed.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The flag's value parsed as a number, or `default` when absent.
+    fn num<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+        match self.value(flag) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("{flag}: '{v}' is not a valid number")),
+        }
+    }
+
+    fn build(&self) -> Result<KernelBuild, String> {
+        match self.value("--build") {
+            None | Some("legacy") => Ok(KernelBuild::Legacy),
+            Some("patched") => Ok(KernelBuild::Patched),
+            Some(other) => Err(format!("unknown build '{other}' (use legacy|patched)")),
+        }
+    }
+
+    /// `--live-stats FILE [--live-interval SECS]` (default 1 s).
+    fn live_stats(&self) -> Result<Option<skrt::LiveStats>, String> {
+        let Some(path) = self.value("--live-stats") else {
+            return Ok(None);
+        };
+        let interval = match self.num("--live-interval", 1.0f64)? {
+            v if v > 0.0 => std::time::Duration::from_secs_f64(v),
             _ => return Err("--live-interval must be a positive number of seconds".into()),
-        },
-        None => std::time::Duration::from_secs(1),
-    };
-    Ok(Some(skrt::LiveStats::new(path.into(), interval)))
+        };
+        Ok(Some(skrt::LiveStats::new(path.into(), interval)))
+    }
 }
 
 /// `--metrics-out FILE`: OpenMetrics text for `.prom` paths, JSONL
@@ -188,60 +227,70 @@ fn write_metrics_out(path: &str, metrics: &skrt::MetricsReport, job: &str) -> Re
     Ok(())
 }
 
-fn cmd_campaign(args: &[String]) -> i32 {
-    if args.first().map(String::as_str) == Some("sequences") {
-        return cmd_sequences(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("fuzz") {
-        return cmd_fuzz(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("check") {
-        return cmd_check(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("report") {
-        return cmd_report(&args[1..]);
+/// Writes a Perfetto/Chrome trace file.
+fn write_trace_json(path: &str, json: String) -> Result<(), String> {
+    std::fs::write(path, json).map_err(|e| format!("cannot write Perfetto trace {path}: {e}"))
+}
+
+/// Flags every `campaign` run/sweep accepts.
+const CAMPAIGN_OPTIONS: &[&str] = &[
+    "--build",
+    "--threads",
+    "--chunk",
+    "--trace",
+    "--record",
+    "--metrics-out",
+    "--live-stats",
+    "--live-interval",
+    "--format",
+    "--csv",
+];
+
+fn cmd_campaign(args: &[String]) -> Result<i32, String> {
+    match args.first().map(String::as_str) {
+        Some("sequences") => return cmd_sequences(&args[1..]),
+        Some("fuzz") => return cmd_fuzz(&args[1..]),
+        Some("check") => return cmd_check(&args[1..]),
+        Some("report") => return cmd_report(&args[1..]),
+        _ => {}
     }
     let sweep = args.first().map(String::as_str) == Some("sweep");
     let args = if sweep { &args[1..] } else { args };
-    let build = match parse_build(args) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
-    let threads = flag_value(args, "--threads").and_then(|t| t.parse().ok()).unwrap_or(0);
-    let chunk_size = flag_value(args, "--chunk").and_then(|t| t.parse().ok()).unwrap_or(0);
-    let record_path = flag_value(args, "--record");
-    let max_tests = match flag_value(args, "--tests") {
-        Some(t) if !sweep => {
-            let _ = t;
-            return fail("--tests is only available in `campaign sweep` mode");
-        }
-        Some(t) => match t.parse::<usize>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => return fail("campaign sweep: --tests must be a positive integer"),
-        },
+    let sweep_options = [CAMPAIGN_OPTIONS, &["--tests"]].concat();
+    let options = if sweep { &sweep_options[..] } else { CAMPAIGN_OPTIONS };
+    let flags = Flags::parse(args, options, &["--no-snapshot", "--metrics"])?;
+    let build = flags.build()?;
+    // The index of every test must fit the executor's 32-bit work ranges;
+    // reject larger runs here, before any case is materialised.
+    let max_tests = match flags.value("--tests") {
         None => None,
+        Some(t) => match t.parse::<u32>() {
+            Ok(n) if n > 0 => Some(n as usize),
+            _ => {
+                return Err(format!(
+                    "campaign sweep: --tests must be an integer in 1..={}",
+                    u32::MAX
+                ))
+            }
+        },
     };
-    let live_stats = match parse_live_stats(args) {
-        Ok(l) => l,
-        Err(e) => return fail(&e),
-    };
+    let record_path = flags.value("--record");
     let opts = CampaignOptions {
         build,
-        threads,
-        chunk_size,
-        reuse_snapshot: !args.iter().any(|a| a == "--no-snapshot"),
-        trace_path: flag_value(args, "--trace").map(Into::into),
-        memoize: !args.iter().any(|a| a == "--no-memo"),
-        coverage_feedback: false,
+        threads: flags.num("--threads", 0)?,
+        chunk_size: flags.num("--chunk", 0)?,
+        reuse_snapshot: !flags.has("--no-snapshot"),
+        trace_path: flags.value("--trace").map(Into::into),
         record: record_path.is_some(),
         max_tests,
-        live_stats,
+        live_stats: flags.live_stats()?,
     };
+    let format = flags.value("--format");
+    if !matches!(format, None | Some("text" | "md" | "markdown")) {
+        return Err(format!("unknown format '{}' (use text|md)", format.unwrap_or_default()));
+    }
     let report = if sweep {
-        match xm_campaign::run_sweep_campaign_with(&opts) {
-            Ok(r) => r,
-            Err(e) => return fail(&e),
-        }
+        xm_campaign::run_sweep_campaign_with(&opts)?
     } else {
         run_paper_campaign_with(&opts)
     };
@@ -252,37 +301,31 @@ fn cmd_campaign(args: &[String]) -> i32 {
             report.result.records.len(),
         );
     }
-    match flag_value(args, "--format").as_deref() {
-        None | Some("text") => print!("{}", report.render()),
-        Some("md" | "markdown") => {
-            println!("## Table III — {}\n", build.label());
-            print!("{}", skrt::report::render_table_markdown(&report.table));
-            println!();
-            print!("{}", skrt::report::render_issues_markdown(&report.issues));
-        }
-        Some(other) => return fail(&format!("unknown format '{other}' (use text|md)")),
+    if format.is_some_and(|f| f != "text") {
+        println!("## Table III — {}\n", build.label());
+        print!("{}", skrt::report::render_table_markdown(&report.table));
+        println!();
+        print!("{}", skrt::report::render_issues_markdown(&report.issues));
+    } else {
+        print!("{}", report.render());
     }
-    if let Some(path) = flag_value(args, "--csv") {
+    if let Some(path) = flags.value("--csv") {
         let csv = skrt::report::records_to_csv(&report.result);
-        if let Err(e) = std::fs::write(&path, csv) {
-            return fail(&format!("cannot write {path}: {e}"));
-        }
+        std::fs::write(path, csv).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("\nwrote per-test records to {path}");
     }
     if let Some(e) = report.trace_error() {
-        return fail(e);
+        return Err(e.to_string());
     } else if let Some(path) = &opts.trace_path {
         println!("wrote JSONL trace to {}", path.display());
     }
-    if let (Some(path), Some(flight)) = (&record_path, &report.result.flight) {
+    if let (Some(path), Some(flight)) = (record_path, &report.result.flight) {
         let json = skrt::flight::export_chrome_trace(
             flight,
             &report.result.records,
             &xm_campaign::eagleeye_flight_names(),
         );
-        if let Err(e) = std::fs::write(path, json) {
-            return fail(&format!("cannot write Perfetto trace {path}: {e}"));
-        }
+        write_trace_json(path, json)?;
         println!("wrote Perfetto trace to {path} (open at https://ui.perfetto.dev)");
     }
     if let Some(e) = &report.result.live_stats_error {
@@ -290,114 +333,117 @@ fn cmd_campaign(args: &[String]) -> i32 {
     } else if let Some(l) = &opts.live_stats {
         println!("wrote live stats to {}", l.path.display());
     }
-    if let Some(path) = flag_value(args, "--metrics-out") {
+    if let Some(path) = flags.value("--metrics-out") {
         let job = if sweep { "sweep" } else { "campaign" };
-        if let Err(e) = write_metrics_out(&path, &report.result.metrics, job) {
-            return fail(&e);
-        }
+        write_metrics_out(path, &report.result.metrics, job)?;
     }
-    if args.iter().any(|a| a == "--metrics") {
+    if flags.has("--metrics") {
         println!();
         print!("{}", report.render_metrics());
     }
     println!("\ncompleted in {:.2?}", report.metrics().wall);
-    i32::from(!report.issues.is_empty())
+    Ok(i32::from(!report.issues.is_empty()))
 }
 
-fn cmd_sequences(args: &[String]) -> i32 {
-    let build = match parse_build(args) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
-    let seed = flag_value(args, "--seed").and_then(|s| s.parse().ok()).unwrap_or(1);
-    let count = flag_value(args, "--count").and_then(|s| s.parse().ok()).unwrap_or(500);
-    let steps = flag_value(args, "--steps").and_then(|s| s.parse().ok()).unwrap_or(8);
+fn cmd_sequences(args: &[String]) -> Result<i32, String> {
+    let flags = Flags::parse(
+        args,
+        &[
+            "--build",
+            "--seed",
+            "--count",
+            "--steps",
+            "--threads",
+            "--chunk",
+            "--record",
+            "--metrics-out",
+        ],
+        &["--no-snapshot", "--no-shrink", "--metrics"],
+    )?;
+    let build = flags.build()?;
+    let seed = flags.num("--seed", 1)?;
+    let count = flags.num("--count", 500)?;
+    let steps = flags.num("--steps", 8)?;
     if steps == 0 || count == 0 {
-        return fail("campaign sequences: --count and --steps must be positive");
+        return Err("campaign sequences: --count and --steps must be positive".into());
     }
-    let record_path = flag_value(args, "--record");
+    let record_path = flags.value("--record");
     let opts = skrt::sequence::SequenceOptions {
         build,
-        threads: flag_value(args, "--threads").and_then(|t| t.parse().ok()).unwrap_or(0),
-        chunk_size: flag_value(args, "--chunk").and_then(|t| t.parse().ok()).unwrap_or(0),
-        reuse_snapshot: !args.iter().any(|a| a == "--no-snapshot"),
-        memoize: !args.iter().any(|a| a == "--no-memo"),
-        coverage_feedback: false,
+        threads: flags.num("--threads", 0)?,
+        chunk_size: flags.num("--chunk", 0)?,
+        reuse_snapshot: !flags.has("--no-snapshot"),
         record: record_path.is_some(),
-        shrink: !args.iter().any(|a| a == "--no-shrink"),
+        shrink: !flags.has("--no-shrink"),
         ..Default::default()
     };
     let report = xm_campaign::run_eagleeye_sequences(seed, count, steps, &opts);
     print!("{}", report.render());
-    if let (Some(path), Some(flight)) = (&record_path, &report.result.flight) {
+    if let (Some(path), Some(flight)) = (record_path, &report.result.flight) {
         let json =
             skrt::flight::export_chrome_trace(flight, &[], &xm_campaign::eagleeye_flight_names());
-        if let Err(e) = std::fs::write(path, json) {
-            return fail(&format!("cannot write Perfetto trace {path}: {e}"));
-        }
+        write_trace_json(path, json)?;
         println!("\nwrote Perfetto trace to {path} (open at https://ui.perfetto.dev)");
     }
-    if let Some(path) = flag_value(args, "--metrics-out") {
-        if let Err(e) = write_metrics_out(&path, &report.result.metrics, "sequences") {
-            return fail(&e);
-        }
+    if let Some(path) = flags.value("--metrics-out") {
+        write_metrics_out(path, &report.result.metrics, "sequences")?;
     }
-    if args.iter().any(|a| a == "--metrics") {
+    if flags.has("--metrics") {
         println!();
         print!("{}", report.render_metrics());
     }
     println!("\ncompleted in {:.2?}", report.result.metrics.wall);
-    i32::from(!report.result.divergences().is_empty())
+    Ok(i32::from(!report.result.divergences().is_empty()))
 }
 
 /// `campaign check`: exhaustively enumerate the small-scope
 /// configuration space and verify the kernel's isolation invariants in
 /// lockstep with the state oracle.
-fn cmd_check(args: &[String]) -> i32 {
-    let build = match parse_build(args) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
+fn cmd_check(args: &[String]) -> Result<i32, String> {
+    let flags = Flags::parse(
+        args,
+        &[
+            "--build",
+            "--partitions",
+            "--slots",
+            "--horizon",
+            "--threads",
+            "--out",
+            "--record",
+            "--metrics-out",
+        ],
+        &["--metrics"],
+    )?;
+    let build = flags.build()?;
     let defaults = skrt::CheckScope::default();
     let scope = skrt::CheckScope {
-        partitions: flag_value(args, "--partitions")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(defaults.partitions),
-        slots: flag_value(args, "--slots").and_then(|s| s.parse().ok()).unwrap_or(defaults.slots),
-        horizon: flag_value(args, "--horizon")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(defaults.horizon),
+        partitions: flags.num("--partitions", defaults.partitions)?,
+        slots: flags.num("--slots", defaults.slots)?,
+        horizon: flags.num("--horizon", defaults.horizon)?,
     };
     if scope.partitions == 0 || scope.slots == 0 || scope.horizon == 0 {
-        return fail("campaign check: --partitions, --slots and --horizon must be positive");
+        return Err("campaign check: --partitions, --slots and --horizon must be positive".into());
     }
     if scope.partitions > 4 || scope.slots > 3 {
-        return fail(
-            "campaign check: scope too large for exhaustive enumeration \
-             (max 4 partitions, 3 slots/MAF)",
-        );
+        return Err("campaign check: scope too large for exhaustive enumeration \
+                    (max 4 partitions, 3 slots/MAF)"
+            .into());
     }
-    let out_dir = flag_value(args, "--out");
-    let record_path = flag_value(args, "--record");
+    let out_dir = flags.value("--out");
+    let record_path = flags.value("--record");
     let opts = skrt::CheckOptions {
         build,
         scope,
-        threads: flag_value(args, "--threads").and_then(|t| t.parse().ok()).unwrap_or(0),
+        threads: flags.num("--threads", 0)?,
         record: record_path.is_some() || out_dir.is_some(),
         ..Default::default()
     };
     let res = skrt::run_check(&opts);
     print!("{}", xm_campaign::render_check_report(&res));
-    if let Some(out) = &out_dir {
-        let tag = match build {
-            KernelBuild::Legacy => "legacy",
-            KernelBuild::Patched => "patched",
-        };
-        let job = format!("check-{tag}");
-        let bundle = match xm_campaign::write_check_bundle(std::path::Path::new(out), &job, &res) {
-            Ok(b) => b,
-            Err(e) => return fail(&format!("cannot write bundle {out}: {e}")),
-        };
+    if let Some(out) = out_dir {
+        let job = format!("check-{}", build_tag(build));
+        let bundle = xm_campaign::write_check_bundle(std::path::Path::new(out), &job, &res)
+            .map_err(|e| format!("cannot write bundle {out}: {e}"))?;
         println!(
             "\nforensics bundle: {} counterexample(s), {} file(s) under {}",
             bundle.findings,
@@ -406,61 +452,59 @@ fn cmd_check(args: &[String]) -> i32 {
         );
         println!("start at {}/summary.md", bundle.root.display());
     }
-    if let (Some(path), Some(flight)) = (&record_path, &res.flight) {
+    if let (Some(path), Some(flight)) = (record_path, &res.flight) {
         let json = skrt::flight::export_chrome_trace(
             flight,
             &[],
             &xm_campaign::check_flight_names(res.scope.partitions),
         );
-        if let Err(e) = std::fs::write(path, json) {
-            return fail(&format!("cannot write Perfetto trace {path}: {e}"));
-        }
+        write_trace_json(path, json)?;
         println!("wrote Perfetto trace to {path} (open at https://ui.perfetto.dev)");
     }
-    if let Some(path) = flag_value(args, "--metrics-out") {
-        if let Err(e) = write_metrics_out(&path, &res.metrics, "check") {
-            return fail(&e);
-        }
+    if let Some(path) = flags.value("--metrics-out") {
+        write_metrics_out(path, &res.metrics, "check")?;
     }
-    if args.iter().any(|a| a == "--metrics") {
+    if flags.has("--metrics") {
         println!();
         print!("{}", res.metrics.render());
     }
     println!("\ncompleted in {:.2?}", res.metrics.wall);
-    i32::from(!res.findings().is_empty())
+    Ok(i32::from(!res.findings().is_empty()))
+}
+
+fn build_tag(build: KernelBuild) -> &'static str {
+    match build {
+        KernelBuild::Legacy => "legacy",
+        KernelBuild::Patched => "patched",
+    }
 }
 
 /// `campaign report`: run a recorded sequence campaign and write a
 /// self-contained forensics bundle for every divergence.
-fn cmd_report(args: &[String]) -> i32 {
-    let build = match parse_build(args) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
-    let out = flag_value(args, "--out").unwrap_or_else(|| "forensics".into());
-    let seed = flag_value(args, "--seed").and_then(|s| s.parse().ok()).unwrap_or(1);
-    let count = flag_value(args, "--count").and_then(|s| s.parse().ok()).unwrap_or(120);
-    let steps = flag_value(args, "--steps").and_then(|s| s.parse().ok()).unwrap_or(8);
+fn cmd_report(args: &[String]) -> Result<i32, String> {
+    let flags = Flags::parse(
+        args,
+        &["--out", "--build", "--seed", "--count", "--steps", "--threads"],
+        &[],
+    )?;
+    let build = flags.build()?;
+    let out = flags.value("--out").unwrap_or("forensics");
+    let seed = flags.num("--seed", 1)?;
+    let count = flags.num("--count", 120)?;
+    let steps = flags.num("--steps", 8)?;
     if steps == 0 || count == 0 {
-        return fail("campaign report: --count and --steps must be positive");
+        return Err("campaign report: --count and --steps must be positive".into());
     }
     let opts = skrt::sequence::SequenceOptions {
         build,
-        threads: flag_value(args, "--threads").and_then(|t| t.parse().ok()).unwrap_or(0),
+        threads: flags.num("--threads", 0)?,
         record: true,
         ..Default::default()
     };
     let report = xm_campaign::run_eagleeye_sequences(seed, count, steps, &opts);
-    let tag = match build {
-        KernelBuild::Legacy => "legacy",
-        KernelBuild::Patched => "patched",
-    };
-    let job = format!("sequences-{tag}");
-    let bundle =
-        match xm_campaign::write_forensics_bundle(std::path::Path::new(&out), &job, &report) {
-            Ok(b) => b,
-            Err(e) => return fail(&format!("cannot write bundle {out}: {e}")),
-        };
+    let job = format!("sequences-{}", build_tag(build));
+    let bundle = xm_campaign::write_forensics_bundle(std::path::Path::new(out), &job, &report)
+        .map_err(|e| format!("cannot write bundle {out}: {e}"))?;
     println!(
         "forensics bundle: {} finding(s), {} file(s) under {}",
         bundle.findings,
@@ -471,25 +515,36 @@ fn cmd_report(args: &[String]) -> i32 {
         println!("  {}", f.display());
     }
     println!("start at {}/summary.md", bundle.root.display());
-    i32::from(bundle.findings > 0)
+    Ok(i32::from(bundle.findings > 0))
 }
 
-fn cmd_fuzz(args: &[String]) -> i32 {
-    let build = match parse_build(args) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
+fn cmd_fuzz(args: &[String]) -> Result<i32, String> {
+    let flags = Flags::parse(
+        args,
+        &[
+            "--build",
+            "--seed",
+            "--execs",
+            "--time",
+            "--threads",
+            "--batch",
+            "--steps",
+            "--corpus-dir",
+            "--stats",
+            "--record",
+            "--metrics-out",
+            "--replay",
+            "--live-stats",
+            "--live-interval",
+        ],
+        &["--no-shrink", "--metrics"],
+    )?;
+    let build = flags.build()?;
 
     // Replay mode: re-execute one corpus/finding file and report.
-    if let Some(path) = flag_value(args, "--replay") {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => return fail(&format!("cannot read {path}: {e}")),
-        };
-        let steps = match skrt::parse_steps(&text) {
-            Ok(s) => s,
-            Err(e) => return fail(&format!("{path}: {e}")),
-        };
+    if let Some(path) = flags.value("--replay") {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let steps = skrt::parse_steps(&text).map_err(|e| format!("{path}: {e}"))?;
         // Same steps-per-slot as the fuzzer's coverage-producing
         // evaluation, so the printed signature matches the corpus header.
         let steps_per_slot = skrt::FuzzOptions::default().steps_per_slot;
@@ -512,62 +567,55 @@ fn cmd_fuzz(args: &[String]) -> i32 {
             coverage.signature,
             coverage.cells.len()
         );
-        return i32::from(verdict.classification.class != skrt::CrashClass::Pass);
+        return Ok(i32::from(verdict.classification.class != skrt::CrashClass::Pass));
     }
 
-    let max_time = match flag_value(args, "--time") {
+    let max_time = match flags.value("--time") {
         Some(t) => match t.parse::<f64>() {
             Ok(secs) if secs > 0.0 => Some(std::time::Duration::from_secs_f64(secs)),
-            _ => return fail("campaign fuzz: --time must be a positive number of seconds"),
+            _ => return Err("campaign fuzz: --time must be a positive number of seconds".into()),
         },
         None => None,
     };
-    let record_path = flag_value(args, "--record");
-    let live_stats = match parse_live_stats(args) {
-        Ok(l) => l,
-        Err(e) => return fail(&e),
-    };
+    let record_path = flags.value("--record");
     let defaults = skrt::FuzzOptions::default();
     let opts = skrt::FuzzOptions {
         build,
-        threads: flag_value(args, "--threads").and_then(|t| t.parse().ok()).unwrap_or(0),
-        seed: flag_value(args, "--seed").and_then(|s| s.parse().ok()).unwrap_or(1),
-        max_execs: flag_value(args, "--execs").and_then(|s| s.parse().ok()).unwrap_or(1000),
+        threads: flags.num("--threads", 0)?,
+        seed: flags.num("--seed", 1)?,
+        max_execs: flags.num("--execs", 1000)?,
         max_time,
-        steps: flag_value(args, "--steps").and_then(|s| s.parse().ok()).unwrap_or(defaults.steps),
-        batch: flag_value(args, "--batch").and_then(|s| s.parse().ok()).unwrap_or(defaults.batch),
+        steps: flags.num("--steps", defaults.steps)?,
+        batch: flags.num("--batch", defaults.batch)?,
         record: record_path.is_some(),
-        shrink: !args.iter().any(|a| a == "--no-shrink"),
-        live_stats,
+        shrink: !flags.has("--no-shrink"),
+        live_stats: flags.live_stats()?,
         ..defaults
     };
     if opts.max_execs == 0 || opts.steps == 0 || opts.batch == 0 {
-        return fail("campaign fuzz: --execs, --steps and --batch must be positive");
+        return Err("campaign fuzz: --execs, --steps and --batch must be positive".into());
     }
 
     let report = xm_campaign::run_eagleeye_fuzz(&opts);
     print!("{}", report.render());
 
-    if let Some(dir) = flag_value(args, "--corpus-dir") {
-        let dir = std::path::Path::new(&dir);
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            return fail(&format!("cannot create {}: {e}", dir.display()));
-        }
+    if let Some(dir) = flags.value("--corpus-dir") {
+        let dir = std::path::Path::new(dir);
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         for entry in &report.result.corpus {
             let path = dir.join(entry.file_name());
-            if let Err(e) = std::fs::write(&path, entry.render()) {
-                return fail(&format!("cannot write {}: {e}", path.display()));
-            }
+            std::fs::write(&path, entry.render())
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         }
         println!("\nwrote {} corpus entries to {}", report.result.corpus.len(), dir.display());
     }
-    if let Some(path) = flag_value(args, "--stats") {
-        if let Err(e) = std::fs::write(&path, report.stats_jsonl()) {
-            return fail(&format!("cannot write {path}: {e}"));
-        }
+    if let Some(path) = flags.value("--stats") {
+        std::fs::write(path, report.stats_jsonl())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote JSONL stats to {path}");
     }
-    if let (Some(path), Some(flight)) = (&record_path, &report.result.flight) {
+    if let (Some(path), Some(flight)) = (record_path, &report.result.flight) {
         // Counter tracks ride along: coverage growth and per-round
         // throughput under the minimal-reproducer flights.
         let json = skrt::flight::export_chrome_trace_with_counters(
@@ -576,9 +624,7 @@ fn cmd_fuzz(args: &[String]) -> i32 {
             &xm_campaign::eagleeye_flight_names(),
             &report.counter_series(),
         );
-        if let Err(e) = std::fs::write(path, json) {
-            return fail(&format!("cannot write Perfetto trace {path}: {e}"));
-        }
+        write_trace_json(path, json)?;
         println!("wrote Perfetto trace to {path} (open at https://ui.perfetto.dev)");
     }
     if let Some(e) = &report.result.live_stats_error {
@@ -586,30 +632,22 @@ fn cmd_fuzz(args: &[String]) -> i32 {
     } else if let Some(l) = &opts.live_stats {
         println!("wrote live stats to {}", l.path.display());
     }
-    if let Some(path) = flag_value(args, "--metrics-out") {
-        if let Err(e) = write_metrics_out(&path, &report.result.metrics, "fuzz") {
-            return fail(&e);
-        }
+    if let Some(path) = flags.value("--metrics-out") {
+        write_metrics_out(path, &report.result.metrics, "fuzz")?;
     }
-    if args.iter().any(|a| a == "--metrics") {
+    if flags.has("--metrics") {
         println!();
         print!("{}", report.render_metrics());
     }
     println!("\ncompleted in {:.2?}", report.result.metrics.wall);
-    i32::from(!report.result.findings.is_empty())
+    Ok(i32::from(!report.result.findings.is_empty()))
 }
 
-fn cmd_sweep(args: &[String]) -> i32 {
-    let build = match parse_build(args) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
+fn cmd_sweep(args: &[String]) -> Result<i32, String> {
+    let build = Flags::parse(args, &["--build"], &[])?.build()?;
     let api = api_header_doc();
     let dict = paper_dictionary();
-    let spec = match automatic_campaign(&api, &dict) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
+    let spec = automatic_campaign(&api, &dict)?;
     println!(
         "automatic sweep: {} suites, {} tests, build {build:?}",
         spec.suites.len(),
@@ -623,24 +661,17 @@ fn cmd_sweep(args: &[String]) -> i32 {
     println!();
     let issues = result.issues();
     print!("{}", render_issues(&issues));
-    i32::from(!issues.is_empty())
+    Ok(i32::from(!issues.is_empty()))
 }
 
-fn cmd_suite(args: &[String]) -> i32 {
-    let Some(name) = args.first() else {
-        return fail("suite: missing hypercall name (e.g. XM_set_timer)");
-    };
-    let Some(id) = HypercallId::by_name(name) else {
-        return fail(&format!("unknown hypercall '{name}'"));
-    };
-    let build = match parse_build(&args[1..]) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
+fn cmd_suite(args: &[String]) -> Result<i32, String> {
+    let name = args.first().ok_or("suite: missing hypercall name (e.g. XM_set_timer)")?;
+    let id = HypercallId::by_name(name).ok_or_else(|| format!("unknown hypercall '{name}'"))?;
+    let build = Flags::parse(&args[1..], &["--build"], &[])?.build()?;
     let report = xm_campaign::runner::run_hypercall_suites(build, id, 0);
     if report.result.records.is_empty() {
         println!("{name} is not part of the Table III campaign (untested hypercall).");
-        return 0;
+        return Ok(0);
     }
     for rec in &report.result.records {
         println!(
@@ -653,19 +684,15 @@ fn cmd_suite(args: &[String]) -> i32 {
     }
     println!();
     print!("{}", render_issues(&report.issues));
-    i32::from(!report.issues.is_empty())
+    Ok(i32::from(!report.issues.is_empty()))
 }
 
-fn cmd_mutant(args: &[String]) -> i32 {
-    let (Some(name), Some(idx)) = (args.first(), args.get(1)) else {
-        return fail("mutant: usage: mutant <XM_hypercall> <case-index>");
+fn cmd_mutant(args: &[String]) -> Result<i32, String> {
+    let (Some(name), Some(idx), None) = (args.first(), args.get(1), args.get(2)) else {
+        return Err("mutant: usage: mutant <XM_hypercall> <case-index>".into());
     };
-    let Some(id) = HypercallId::by_name(name) else {
-        return fail(&format!("unknown hypercall '{name}'"));
-    };
-    let Ok(idx) = idx.parse::<usize>() else {
-        return fail("mutant: case-index must be a number");
-    };
+    let id = HypercallId::by_name(name).ok_or_else(|| format!("unknown hypercall '{name}'"))?;
+    let idx = idx.parse::<usize>().map_err(|_| "mutant: case-index must be a number")?;
     let full = paper_campaign();
     let mut spec = CampaignSpec::new("mutant");
     for s in full.suites.into_iter().filter(|s| s.hypercall == id) {
@@ -673,36 +700,26 @@ fn cmd_mutant(args: &[String]) -> i32 {
     }
     let cases = spec.all_cases();
     if cases.is_empty() {
-        return fail(&format!("{name} has no campaign suites"));
+        return Err(format!("{name} has no campaign suites"));
     }
-    let Some(case) = cases.into_iter().nth(idx) else {
-        return fail(&format!(
-            "case-index out of range (suite has {} datasets)",
-            spec.total_tests()
-        ));
-    };
+    let case = cases.into_iter().nth(idx).ok_or_else(|| {
+        format!("case-index out of range (suite has {} datasets)", spec.total_tests())
+    })?;
     print!("{}", MutantSpec::new(case).emit_c_source());
-    0
+    Ok(0)
 }
 
-fn cmd_triage(args: &[String]) -> i32 {
+fn cmd_triage(args: &[String]) -> Result<i32, String> {
     let (Some(name), Some(idx)) = (args.first(), args.get(1)) else {
-        return fail("triage: usage: triage <XM_hypercall> <case-index> [--build legacy|patched] [--last N] [--record FILE]");
+        return Err("triage: usage: triage <XM_hypercall> <case-index> [--build legacy|patched] [--last N] [--record FILE]".into());
     };
-    let Some(id) = HypercallId::by_name(name) else {
-        return fail(&format!("unknown hypercall '{name}'"));
-    };
-    let Ok(idx) = idx.parse::<usize>() else {
-        return fail("triage: case-index must be a number");
-    };
-    let build = match parse_build(&args[2..]) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
-    let last_n = flag_value(args, "--last").and_then(|n| n.parse().ok()).unwrap_or(40);
-    let Some(report) = xm_campaign::triage_case(build, id, idx) else {
-        return fail(&format!("{name} case-index {idx} is out of range"));
-    };
+    let id = HypercallId::by_name(name).ok_or_else(|| format!("unknown hypercall '{name}'"))?;
+    let idx = idx.parse::<usize>().map_err(|_| "triage: case-index must be a number")?;
+    let flags = Flags::parse(&args[2..], &["--build", "--last", "--record"], &[])?;
+    let build = flags.build()?;
+    let last_n = flags.num("--last", 40)?;
+    let report = xm_campaign::triage_case(build, id, idx)
+        .ok_or_else(|| format!("{name} case-index {idx} is out of range"))?;
     if report.is_severe() {
         print!("{}", report.render(last_n));
     } else {
@@ -712,11 +729,11 @@ fn cmd_triage(args: &[String]) -> i32 {
             report.record.case.display_call(),
             report.record.classification.class.label(),
         );
-        if flag_value(args, "--last").is_some() {
+        if flags.has("--last") {
             print!("{}", report.render(last_n));
         }
     }
-    if let Some(path) = flag_value(args, "--record") {
+    if let Some(path) = flags.value("--record") {
         let mut flight = report.flight.clone();
         flight.index = 0;
         let log = skrt::flight::FlightLog { tests: vec![flight] };
@@ -725,19 +742,15 @@ fn cmd_triage(args: &[String]) -> i32 {
             std::slice::from_ref(&report.record),
             &report.names,
         );
-        if let Err(e) = std::fs::write(&path, json) {
-            return fail(&format!("cannot write Perfetto trace {path}: {e}"));
-        }
+        write_trace_json(path, json)?;
         println!("wrote Perfetto trace to {path}");
     }
-    0
+    Ok(0)
 }
 
-fn cmd_specgen(args: &[String]) -> i32 {
-    let out = flag_value(args, "--out").unwrap_or_else(|| "specs".into());
-    if let Err(e) = std::fs::create_dir_all(&out) {
-        return fail(&format!("cannot create {out}: {e}"));
-    }
+fn cmd_specgen(args: &[String]) -> Result<i32, String> {
+    let out = Flags::parse(args, &["--out"], &[])?.value("--out").unwrap_or("specs");
+    std::fs::create_dir_all(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let api = api_header_doc().to_xml();
     let dt = data_type_doc(&paper_dictionary()).to_xml();
     let camp = xm_campaign::campaign_to_xml(&paper_campaign());
@@ -745,26 +758,21 @@ fn cmd_specgen(args: &[String]) -> i32 {
         [("xm_api.xml", &api), ("xm_datatypes.xml", &dt), ("xm_campaign.xml", &camp)]
     {
         let path = format!("{out}/{name}");
-        if let Err(e) = std::fs::write(&path, content) {
-            return fail(&format!("cannot write {path}: {e}"));
-        }
+        std::fs::write(&path, content).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path} ({} bytes)", content.len());
     }
-    0
+    Ok(0)
 }
 
-fn cmd_coverage(args: &[String]) -> i32 {
-    let build = match parse_build(args) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
+fn cmd_coverage(args: &[String]) -> Result<i32, String> {
+    let build = Flags::parse(args, &["--build"], &[])?.build()?;
     let report = run_paper_campaign(build, 0);
     let rows = skrt::report::response_coverage(&report.result);
     print!("{}", skrt::report::render_coverage(&rows));
-    0
+    Ok(0)
 }
 
-fn cmd_tables() -> i32 {
+fn cmd_tables() -> Result<i32, String> {
     println!("TABLE I — XTRATUM DATA TYPES");
     for t in xtratum::types::XM_TYPES {
         println!(
@@ -779,10 +787,5 @@ fn cmd_tables() -> i32 {
     for v in paper_dictionary().values("xm_s32_t") {
         println!("  {:>12}  {}", v.as_s32(), v.label.unwrap_or("*"));
     }
-    0
-}
-
-fn fail(msg: &str) -> i32 {
-    eprintln!("error: {msg}");
-    2
+    Ok(0)
 }

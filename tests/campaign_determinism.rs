@@ -13,8 +13,7 @@ use xtratum::vuln::KernelBuild;
 
 fn subset() -> CampaignSpec {
     // The three defective hypercalls plus robust ones — a mix of all
-    // outcome kinds. XM_memory_copy is the campaign's only source of
-    // repeated raw invocations, so its suites exercise the result memo.
+    // outcome kinds, and XM_memory_copy's repeated raw invocations.
     let full = paper_campaign();
     let mut spec = CampaignSpec::new("determinism subset");
     for s in full.suites {
@@ -103,49 +102,12 @@ fn snapshot_reuse_is_observationally_transparent() {
     );
     assert_eq!(fingerprint(&snap), fingerprint(&fresh));
     // and the metrics prove each path was actually exercised: every test
-    // is served by a snapshot clone or a memo hit, never a fresh boot
-    assert_eq!(snap.metrics.snapshot_clones + snap.metrics.memo_hits, spec.total_tests());
+    // runs on a snapshot rewind after one boot per worker, or on a fresh
+    // boot of its own
+    assert_eq!(snap.metrics.snapshot_clones, spec.total_tests());
+    assert_eq!(snap.metrics.fresh_boots, snap.metrics.threads as u64);
     assert_eq!(fresh.metrics.snapshot_clones, 0);
-    assert_eq!(fresh.metrics.fresh_boots + fresh.metrics.memo_hits, spec.total_tests());
-}
-
-/// Result memoization on vs off: identical records and byte-identical
-/// renderings at 1, 4 and 16 threads. Memoization only ever substitutes
-/// a record the worker already produced for the identical raw invocation,
-/// so it must be invisible to the whole deterministic surface.
-#[test]
-fn memoization_is_observationally_transparent() {
-    let spec = subset();
-    for threads in [1usize, 4, 16] {
-        let on = run_campaign(&EagleEye, &spec, &opts(threads));
-        let off =
-            run_campaign(&EagleEye, &spec, &CampaignOptions { memoize: false, ..opts(threads) });
-        assert_eq!(fingerprint(&on), fingerprint(&off), "memo divergence at {threads} threads");
-        assert_eq!(
-            rendered(&spec, &on),
-            rendered(&spec, &off),
-            "memo render divergence at {threads} threads"
-        );
-        assert_eq!(off.metrics.memo_hits, 0);
-        assert_eq!(off.metrics.memo_misses, 0);
-        assert_eq!(on.metrics.memo_hits + on.metrics.memo_misses, spec.total_tests());
-        assert_eq!(on.metrics.snapshot_clones + on.metrics.memo_hits, spec.total_tests());
-    }
-}
-
-/// On one worker the memo sees the whole campaign, so every repeated raw
-/// invocation beyond its first sighting is exactly one memo hit.
-#[test]
-fn single_worker_memo_hits_every_duplicate() {
-    let spec = subset();
-    let mut counts = std::collections::HashMap::new();
-    for c in spec.all_cases() {
-        *counts.entry(c.raw()).or_insert(0u64) += 1;
-    }
-    let duplicates: u64 = counts.values().map(|c| c - 1).sum();
-    assert!(duplicates > 0, "subset must contain repeated raw invocations");
-    let result = run_campaign(&EagleEye, &spec, &opts(1));
-    assert_eq!(result.metrics.memo_hits, duplicates);
+    assert_eq!(fresh.metrics.fresh_boots, spec.total_tests());
 }
 
 #[test]
@@ -176,10 +138,10 @@ fn flight_recorder_is_observationally_transparent() {
         assert!(off.flight.is_none(), "no flight log unless requested");
         let flight = on.flight.as_ref().expect("recording run keeps its flight log");
         assert_eq!(flight.tests.len() as u64, spec.total_tests());
-        // flights come back in campaign order, and executed (non-memoized)
-        // tests carry real event streams
+        // flights come back in campaign order, and every test carries a
+        // real event stream
         assert!(flight.tests.iter().enumerate().all(|(i, t)| t.index == i));
-        assert!(flight.tests.iter().any(|t| !t.events.is_empty()));
+        assert!(flight.tests.iter().all(|t| !t.events.is_empty()));
         // recording also feeds the latency histograms
         assert!(!on.metrics.hc_latency.is_empty());
         assert!(off.metrics.hc_latency.is_empty());
@@ -198,8 +160,8 @@ fn sweep_spec() -> CampaignSpec {
         .expect("sweep spec builds from the generated spec docs")
 }
 
-/// The sweep campaign is byte-identical across thread counts 1/4/16,
-/// memoization on/off, and the flight recorder on/off. Unlike the fixed
+/// The sweep campaign is byte-identical across thread counts 1/4/16 and
+/// the flight recorder on/off. Unlike the fixed
 /// pre-sliced shards of earlier engines, workers now pull and steal
 /// index ranges dynamically — so every configuration here also runs a
 /// different work-stealing schedule, and the assertion pins that the
@@ -212,24 +174,19 @@ fn sweep_campaign_is_deterministic_across_threads_memo_and_recorder() {
     let base_render = rendered(&spec, &base);
     assert_eq!(base.records.len() as u64, spec.total_tests());
     for threads in [4usize, 16] {
-        for memoize in [true, false] {
-            for record in [true, false] {
-                let other = run_campaign(
-                    &EagleEye,
-                    &spec,
-                    &CampaignOptions { memoize, record, ..opts(threads) },
-                );
-                assert_eq!(
-                    base_fp,
-                    fingerprint(&other),
-                    "sweep divergence at threads={threads} memo={memoize} record={record}"
-                );
-                assert_eq!(
-                    base_render,
-                    rendered(&spec, &other),
-                    "sweep render divergence at threads={threads} memo={memoize} record={record}"
-                );
-            }
+        for record in [true, false] {
+            let other =
+                run_campaign(&EagleEye, &spec, &CampaignOptions { record, ..opts(threads) });
+            assert_eq!(
+                base_fp,
+                fingerprint(&other),
+                "sweep divergence at threads={threads} record={record}"
+            );
+            assert_eq!(
+                base_render,
+                rendered(&spec, &other),
+                "sweep render divergence at threads={threads} record={record}"
+            );
         }
     }
 }
@@ -289,7 +246,7 @@ fn seq_fingerprint(result: &skrt::sequence::SequenceCampaignResult) -> Vec<Strin
         .collect()
 }
 
-fn seq_run(threads: usize, memoize: bool, record: bool) -> xm_campaign::SequenceReport {
+fn seq_run(threads: usize, record: bool) -> xm_campaign::SequenceReport {
     xm_campaign::run_eagleeye_sequences(
         7,
         60,
@@ -297,85 +254,47 @@ fn seq_run(threads: usize, memoize: bool, record: bool) -> xm_campaign::Sequence
         &skrt::sequence::SequenceOptions {
             build: KernelBuild::Legacy,
             threads,
-            memoize,
             record,
             ..Default::default()
         },
     )
 }
 
-/// Sequence campaigns are byte-identical across thread counts 1/4/16,
-/// with memoization on or off and the flight recorder on or off — same
-/// seed, same fingerprints, same rendered report.
+/// Sequence campaigns are byte-identical across thread counts 1/4/16 and
+/// with the flight recorder on or off — same seed, same fingerprints,
+/// same rendered report.
 #[test]
 fn sequence_campaign_is_deterministic_across_threads_memo_and_recorder() {
-    let base = seq_run(1, true, false);
+    let base = seq_run(1, false);
     let base_fp = seq_fingerprint(&base.result);
     let base_render = base.render();
     assert!(!base.result.divergences().is_empty(), "subset must exercise the divergence path");
     for threads in [1usize, 4, 16] {
-        for memoize in [true, false] {
-            for record in [true, false] {
-                let other = seq_run(threads, memoize, record);
-                assert_eq!(
-                    base_fp,
-                    seq_fingerprint(&other.result),
-                    "sequence divergence at threads={threads} memo={memoize} record={record}"
-                );
-                assert_eq!(
-                    base_render,
-                    other.render(),
-                    "render divergence at threads={threads} memo={memoize} record={record}"
-                );
-                // The recorder, when on, keeps one flight per sequence,
-                // in campaign order; when off there is no flight log.
-                match other.result.flight {
-                    Some(ref flight) => {
-                        assert!(record);
-                        assert_eq!(flight.tests.len(), other.result.records.len());
-                        assert!(flight.tests.iter().enumerate().all(|(i, t)| t.index == i));
-                        assert!(flight.tests.iter().any(|t| !t.events.is_empty()));
-                    }
-                    None => assert!(!record),
+        for record in [true, false] {
+            let other = seq_run(threads, record);
+            assert_eq!(
+                base_fp,
+                seq_fingerprint(&other.result),
+                "sequence divergence at threads={threads} record={record}"
+            );
+            assert_eq!(
+                base_render,
+                other.render(),
+                "render divergence at threads={threads} record={record}"
+            );
+            // The recorder, when on, keeps one flight per sequence, in
+            // campaign order; when off there is no flight log.
+            match other.result.flight {
+                Some(ref flight) => {
+                    assert!(record);
+                    assert_eq!(flight.tests.len(), other.result.records.len());
+                    assert!(flight.tests.iter().enumerate().all(|(i, t)| t.index == i));
+                    assert!(flight.tests.iter().all(|t| !t.events.is_empty()));
                 }
+                None => assert!(!record),
             }
         }
     }
-}
-
-/// Per-worker sequence memoization must be invisible to the result
-/// surface while actually serving duplicate step lists from cache.
-#[test]
-fn sequence_memo_hits_duplicate_sequences_transparently() {
-    // Tile 12 distinct sequences into 36 specs: 24 duplicates.
-    let distinct = xm_campaign::eagleeye_sequence_specs(3, 12, 5);
-    let specs: Vec<skrt::sequence::SequenceSpec> = (0..36)
-        .map(|i| {
-            let mut s = distinct[i % 12].clone();
-            s.index = i;
-            s
-        })
-        .collect();
-    let opts = |memoize| skrt::sequence::SequenceOptions {
-        build: KernelBuild::Legacy,
-        threads: 1,
-        memoize,
-        ..Default::default()
-    };
-    let on = skrt::sequence::run_sequence_campaign(&EagleEye, &specs, &opts(true));
-    let off = skrt::sequence::run_sequence_campaign(&EagleEye, &specs, &opts(false));
-    // Spec index participates in the fingerprint, so compare with the
-    // index normalised out: the verdict surface must be identical.
-    let strip = |r: &skrt::sequence::SequenceCampaignResult| -> Vec<String> {
-        seq_fingerprint(r)
-            .into_iter()
-            .map(|line| line.split_once(' ').unwrap().1.to_string())
-            .collect()
-    };
-    assert_eq!(strip(&on), strip(&off));
-    assert_eq!(on.metrics.memo_hits, 24, "one worker sees every duplicate");
-    assert_eq!(off.metrics.memo_hits, 0);
-    assert_eq!(on.metrics.tests_executed, 36);
 }
 
 /// The JSONL trace's per-test lines are deterministic across thread

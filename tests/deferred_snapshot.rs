@@ -65,7 +65,6 @@ fn table3_records_and_flights_match_a_fresh_boot() {
                 build,
                 threads: 2,
                 reuse_snapshot,
-                memoize: false,
                 record,
                 ..Default::default()
             };

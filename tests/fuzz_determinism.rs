@@ -3,15 +3,12 @@
 //! recorder toggle must not change a single byte of the corpus, the
 //! coverage map, the findings or the rendered report. On top of that,
 //! every corpus entry must replay from its serialized form to the exact
-//! coverage signature recorded at discovery time, and memoization (which
-//! would silently starve the coverage feedback) must stay off whenever
-//! coverage is being collected.
+//! coverage signature recorded at discovery time, and every candidate
+//! must really execute for the coverage feedback to see it.
 
 use eagleeye::EagleEye;
 use skrt::fuzz::{parse_steps, replay_coverage, FuzzOptions};
-use skrt::sequence::SequenceOptions;
 use xm_campaign::fuzz::{finding_signature, run_eagleeye_fuzz, FuzzReport};
-use xm_campaign::sequences::eagleeye_sequence_specs;
 use xtratum::vuln::KernelBuild;
 
 fn run(seed: u64, threads: usize, record: bool) -> FuzzReport {
@@ -84,66 +81,14 @@ fn signatures_and_first_hits_are_thread_invariant() {
     assert_eq!(sigs_a, sigs_b);
 }
 
-/// Memo hits replay a cached verdict without executing anything, so a
-/// memoized campaign would feed empty flight streams to the coverage
-/// map and make duplicates look coverage-dead (or worse, novel-once).
-/// `coverage_feedback` must force memoization off even when `memoize`
-/// is explicitly requested.
+/// Every candidate is a real execution, for the map to see its stream:
+/// one verdict and at least one arena rewind per candidate, and one boot
+/// per worker, whose arena persists across rounds.
 #[test]
-fn coverage_feedback_forces_memoization_off() {
-    // Duplicate-heavy workload: the same 30 specs twice over.
-    let mut specs = eagleeye_sequence_specs(3, 30, 6);
-    let dup = specs.clone();
-    specs.extend(dup);
-    let opts = SequenceOptions {
-        build: KernelBuild::Legacy,
-        threads: 1,
-        memoize: true,
-        coverage_feedback: true,
-        ..SequenceOptions::default()
-    };
-    let result = skrt::sequence::run_sequence_campaign(&EagleEye, &specs, &opts);
-    assert_eq!(result.metrics.memo_hits, 0, "memo hit under coverage feedback");
-    assert_eq!(result.metrics.memo_misses, 0, "memoization ran under coverage feedback");
-
-    // Control: the same workload with feedback off does memoize, so the
-    // assertion above is meaningful.
-    let control = skrt::sequence::run_sequence_campaign(
-        &EagleEye,
-        &specs,
-        &SequenceOptions { coverage_feedback: false, ..opts },
-    );
-    assert!(control.metrics.memo_hits > 0, "control workload never memoized");
-}
-
-/// The same guarantee on the single-call executor: `CampaignOptions::
-/// coverage_feedback` overrides an explicit `memoize: true`.
-#[test]
-fn exec_campaign_coverage_feedback_disables_memo() {
-    use skrt::exec::{run_campaign, CampaignOptions};
-    let spec = xm_campaign::paper_campaign();
-    let opts = CampaignOptions {
-        build: KernelBuild::Legacy,
-        threads: 1,
-        memoize: true,
-        coverage_feedback: true,
-        ..CampaignOptions::default()
-    };
-    let result = run_campaign(&EagleEye, &spec, &opts);
-    assert_eq!(result.metrics.memo_hits, 0, "memo hit under coverage feedback");
-    assert_eq!(result.metrics.memo_misses, 0, "memoization ran under coverage feedback");
-
-    let control =
-        run_campaign(&EagleEye, &spec, &CampaignOptions { coverage_feedback: false, ..opts });
-    assert!(control.metrics.memo_hits > 0, "control campaign never memoized");
-}
-
-/// The fuzzer itself never memoizes: candidate executions must all be
-/// real executions for the map to see their streams.
-#[test]
-fn fuzzer_never_memoizes() {
+fn fuzzer_executes_every_candidate() {
     let report = run(5, 4, false);
-    assert_eq!(report.result.metrics.memo_hits, 0);
-    assert_eq!(report.result.metrics.memo_misses, 0);
-    assert_eq!(report.result.metrics.tests_executed, report.result.execs);
+    let m = &report.result.metrics;
+    assert_eq!(m.tests_executed, report.result.execs);
+    assert!(m.snapshot_clones >= report.result.execs);
+    assert_eq!(m.fresh_boots, m.threads as u64);
 }

@@ -2,8 +2,8 @@
 //! heartbeats, the OpenMetrics/JSONL snapshot export and the
 //! self-profiler are all *readers* of the run, never participants.
 //! Turning any of them on must not change a byte of the deterministic
-//! result surface, at any thread count, with or without memoization or
-//! the flight recorder.
+//! result surface, at any thread count, with or without the flight
+//! recorder.
 
 use eagleeye::EagleEye;
 use skrt::exec::{run_campaign, CampaignOptions, CampaignResult, LiveStats};
@@ -55,9 +55,9 @@ fn surface(spec: &CampaignSpec, result: &CampaignResult) -> String {
 }
 
 /// Campaign results are byte-identical with live-stats streaming on or
-/// off across threads 1/4/16 × memoization × recorder — a sub-second
+/// off across threads 1/4/16 × recorder — a sub-second
 /// interval forces real mid-run heartbeats, so the emitter thread and
-/// its per-chunk progress folds demonstrably run while the surface
+/// its per-range progress folds demonstrably run while the surface
 /// stays untouched.
 #[test]
 fn live_stats_is_observationally_transparent_for_campaigns() {
@@ -69,33 +69,34 @@ fn live_stats_is_observationally_transparent_for_campaigns() {
     );
     let base_surface = surface(&spec, &base);
     for threads in [1usize, 4, 16] {
-        for memoize in [true, false] {
-            for record in [true, false] {
-                let path = sink(&format!("camp_{threads}_{memoize}_{record}"));
-                let live = run_campaign(
-                    &EagleEye,
-                    &spec,
-                    &CampaignOptions {
-                        build: KernelBuild::Legacy,
-                        threads,
-                        memoize,
-                        record,
-                        live_stats: Some(LiveStats::new(path.clone(), Duration::from_millis(1))),
-                        ..Default::default()
-                    },
-                );
-                let stream = std::fs::read_to_string(&path).expect("heartbeat sink written");
-                let _ = std::fs::remove_file(&path);
-                assert_eq!(live.live_stats_error, None);
-                assert_eq!(
-                    base_surface,
-                    surface(&spec, &live),
-                    "live-stats divergence at threads={threads} memo={memoize} record={record}"
-                );
-                // The stream really happened and ends with the final line.
-                let last = stream.lines().last().expect("at least the final heartbeat");
-                assert!(last.contains("\"final\":true"), "unterminated stream: {last}");
-            }
+        for record in [true, false] {
+            let path = sink(&format!("camp_{threads}_{record}"));
+            let live = run_campaign(
+                &EagleEye,
+                &spec,
+                &CampaignOptions {
+                    build: KernelBuild::Legacy,
+                    threads,
+                    record,
+                    live_stats: Some(LiveStats::new(path.clone(), Duration::from_millis(1))),
+                    ..Default::default()
+                },
+            );
+            let stream = std::fs::read_to_string(&path).expect("heartbeat sink written");
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(live.live_stats_error, None);
+            assert_eq!(
+                base_surface,
+                surface(&spec, &live),
+                "live-stats divergence at threads={threads} record={record}"
+            );
+            // The stream really happened and ends with the final line.
+            let last = stream.lines().last().expect("at least the final heartbeat");
+            assert!(last.contains("\"final\":true"), "unterminated stream: {last}");
+            assert!(
+                last.contains(&format!("\"tests_done\":{}", spec.total_tests())),
+                "final heartbeat must count every test: {last}"
+            );
         }
     }
 }
